@@ -1,6 +1,5 @@
 """csdcirc: compile unitary matrices into quantum circuits via recursive CSD."""
 
-from .csd import CsdFactors, csd_split, middle_matrix
 from .decompose import (
     DecompositionSequence,
     LeafDiagonal,
@@ -24,6 +23,7 @@ from .gates import (
     circuit_matrix,
     count_subgates,
     gate_matrix,
+    verify,
 )
 from .matrices import (
     Tolerances,
@@ -38,7 +38,6 @@ __all__ = [
     "ArcBasis",
     "Axis",
     "Circuit",
-    "CsdFactors",
     "DecompositionSequence",
     "GlobalPhase",
     "Graph",
@@ -55,7 +54,6 @@ __all__ = [
     "compile_complex",
     "compile_real",
     "count_subgates",
-    "csd_split",
     "emit_json",
     "emit_latex",
     "emit_text",
@@ -65,13 +63,13 @@ __all__ = [
     "grover_coin",
     "level_of_position",
     "max_abs_diff",
-    "middle_matrix",
     "pad_to_power_of_two",
     "parse_graph",
     "parse_json",
     "parse_text",
     "random_graph",
     "recursive_csd",
+    "verify",
     "walk_unitary",
 ]
 

@@ -10,8 +10,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from . import emitters, qwalk
 from .decompose import compile_complex, compile_real, recursive_csd
 from .errors import (
@@ -21,7 +19,7 @@ from .errors import (
     NumericalFailureError,
     VerifyFailedError,
 )
-from .gates import DENSE_QUBIT_CAP, Circuit, apply_to_state, circuit_matrix, count_subgates
+from .gates import Circuit, count_subgates, verify
 from .matrices import (
     Tolerances,
     UnitaryOperator,
@@ -39,7 +37,17 @@ EXIT_NUMERICAL = 4
 EXIT_VERIFY = 5
 EXIT_NOT_REAL = 6
 
-SAMPLED_VERIFY_TOL = 1e-8
+# A raised exception exits with the code of the nearest class in its MRO.
+_EXIT_CODES = {
+    NotUnitaryError: EXIT_NOT_UNITARY,
+    NumericalFailureError: EXIT_NUMERICAL,
+    VerifyFailedError: EXIT_VERIFY,
+    NotRealDecompositionError: EXIT_NOT_REAL,
+    CsdcircError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    KeyError: EXIT_PARSE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +55,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-zero", type=float, default=Tolerances().angle_zero)
         p.add_argument("--tol-reconstruct", type=float, default=Tolerances().reconstruct)
         p.add_argument("--verify", action="store_true", help="reconstruct and report the residual")
-        p.add_argument("--verify-samples", type=int, default=64, metavar="K")
+        p.add_argument("--verify-samples", type=_positive_int, default=64, metavar="K")
 
     p_compile = sub.add_parser("compile", help="compile a unitary matrix file")
     p_compile.add_argument("matrix", help="matrix file (text or JSON)")
@@ -87,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("matrix", help="matrix file the circuit should reproduce")
     p_verify.add_argument("--tol-unitary", type=float, default=Tolerances().unitary)
     p_verify.add_argument("--tol-reconstruct", type=float, default=Tolerances().reconstruct)
-    p_verify.add_argument("--verify-samples", type=int, default=64, metavar="K")
+    p_verify.add_argument("--verify-samples", type=_positive_int, default=64, metavar="K")
 
     p_stats = sub.add_parser("stats", help="print subgate counts of a circuit file")
     p_stats.add_argument("circuit")
@@ -109,21 +124,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except NotUnitaryError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_UNITARY
-    except NotRealDecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_REAL
-    except NumericalFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except VerifyFailedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (CsdcircError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 def _tolerances(args) -> Tolerances:
@@ -151,17 +154,23 @@ def _compile_operator(w: UnitaryOperator, n: int, args, tol: Tolerances) -> int:
     print(
         "subgates: ry={ry} rz={rz} pi={pi} phase={phase} total={total}".format(**counts)
     )
-    _write_outputs(circuit, args)
+    _write_outputs(circuit, args, tol)
     if args.verify:
-        residual = _reconstruction_residual(circuit, w, args.verify_samples)
-        print(f"verify residual: {residual:.3e}")
-        threshold = tol.reconstruct if n <= DENSE_QUBIT_CAP else SAMPLED_VERIFY_TOL
-        if residual > threshold:
-            raise VerifyFailedError(residual, threshold)
+        _print_verify(circuit, w, tol, args.verify_samples)
     return EXIT_OK
 
 
-def _write_outputs(circuit: Circuit, args):
+def _print_verify(circuit: Circuit, w: UnitaryOperator, tol: Tolerances, samples: int):
+    """Print the verify residual, also when it is above the limit."""
+    try:
+        residual = verify(circuit, w, tol, samples)
+    except VerifyFailedError as exc:
+        print(f"verify residual: {exc.residual:.3e}")
+        raise
+    print(f"verify residual: {residual:.3e}")
+
+
+def _write_outputs(circuit: Circuit, args, tol: Tolerances):
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     unknown = set(formats) - {"text", "json", "latex"}
     if unknown:
@@ -177,27 +186,13 @@ def _write_outputs(circuit: Circuit, args):
     if "json" in formats:
         _write(args.out + ".json", emitters.emit_json(circuit))
     if "latex" in formats:
-        _write(args.out + ".tex", emitters.emit_latex(circuit))
+        _write(args.out + ".tex", emitters.emit_latex(circuit, tol.angle_zero))
 
 
 def _write(path: str, content: str):
     with open(path, "w") as fh:
         fh.write(content)
     print(f"wrote {path}", file=sys.stderr)
-
-
-def _reconstruction_residual(circuit: Circuit, w: UnitaryOperator, samples: int) -> float:
-    if circuit.n_qubits <= DENSE_QUBIT_CAP:
-        rebuilt = circuit_matrix(circuit)
-        return float(np.abs(rebuilt.mat - w.as_complex()).max())
-    dim = w.dim
-    rng = np.random.default_rng(0)
-    picks = rng.choice(dim, size=min(samples, dim), replace=False)
-    target = w.as_complex()
-    batch = np.zeros((dim, picks.size), dtype=np.complex128)
-    batch[picks, np.arange(picks.size)] = 1.0
-    out = apply_to_state(circuit, batch)
-    return float(np.abs(out - target[:, picks]).max())
 
 
 def cmd_compile(args) -> int:
@@ -243,17 +238,10 @@ def _load_circuit(path: str, n_qubits: int | None) -> Circuit:
 
 
 def cmd_verify(args) -> int:
-    mat = load_matrix(args.matrix)
-    op = certify_unitary(mat, Tolerances(unitary=args.tol_unitary))
+    tol = Tolerances(unitary=args.tol_unitary, reconstruct=args.tol_reconstruct)
+    op = certify_unitary(load_matrix(args.matrix), tol)
     w, n = pad_to_power_of_two(op)
-    circuit = _load_circuit(args.circuit, n)
-    if circuit.n_qubits != n:
-        raise ValueError(f"circuit has {circuit.n_qubits} qubits but the matrix needs {n}")
-    residual = _reconstruction_residual(circuit, w, args.verify_samples)
-    print(f"verify residual: {residual:.3e}")
-    threshold = args.tol_reconstruct if n <= DENSE_QUBIT_CAP else SAMPLED_VERIFY_TOL
-    if residual > threshold:
-        raise VerifyFailedError(residual, threshold)
+    _print_verify(_load_circuit(args.circuit, n), w, tol, args.verify_samples)
     return EXIT_OK
 
 

@@ -20,13 +20,11 @@ route selection never affects correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cossin
 
-from .errors import NumericalFailureError, OddDimensionError
-from .matrices import Tolerances, UnitaryOperator, certify_unitary
+from .errors import NumericalFailureError
+from .matrices import Tolerances
 
 # sin/cos below this count as degenerate when choosing completions
 DEGEN_EPS = 1e-8
@@ -37,63 +35,9 @@ GAUGE_EPS = 1e-13
 SVD_ROUTE_MIN_DIM = 512
 
 
-@dataclass(frozen=True)
-class CsdFactors:
-    u: UnitaryOperator
-    v: UnitaryOperator
-    x: UnitaryOperator
-    y: UnitaryOperator
-    theta: np.ndarray
-
-    @property
-    def half_dim(self) -> int:
-        return self.theta.size
-
-
-def middle_matrix(theta, tol: Tolerances = Tolerances()) -> UnitaryOperator:
-    """The block rotation [[C, S], [-S, C]] for the given angles."""
-    t = np.asarray(theta, dtype=np.float64)
-    c, s = np.diag(np.cos(t)), np.diag(np.sin(t))
-    return certify_unitary(np.block([[c, s], [-s, c]]), tol)
-
-
-def csd_split(u_op: UnitaryOperator, tol: Tolerances = Tolerances()) -> CsdFactors:
-    """Split a certified unitary of even dimension into canonical CSD factors."""
-    dim = u_op.dim
-    if dim % 2:
-        raise OddDimensionError(f"CSD needs an even dimension, got {dim}")
-    a = u_op.as_real() if u_op.is_real else u_op.as_complex()
-    u, v, theta, x, y = _csd_blocks(a, tol)
-    return CsdFactors(
-        u=certify_unitary(u, tol),
-        v=certify_unitary(v, tol),
-        x=certify_unitary(x, tol),
-        y=certify_unitary(y, tol),
-        theta=theta,
-    )
-
-
-# --- kernel -----------------------------------------------------------------
-
-
 def _csd_blocks(a: np.ndarray, tol: Tolerances):
     """Route one block to a construction backend and enforce the contract."""
-    dim = a.shape[0]
-    if dim % 2:
-        raise OddDimensionError(f"CSD needs an even dimension, got {dim}")
-    if dim == 2:
-        parts, residual = _csd_dim2_batch(a[None, :, :])
-        if residual > tol.reconstruct:
-            raise NumericalFailureError(residual, tol.reconstruct)
-        u, v, theta, x, y = (p[0] for p in parts)
-        return (
-            np.asarray([[u]]),
-            np.asarray([[v]]),
-            np.asarray([theta]),
-            np.asarray([[x]]),
-            np.asarray([[y]]),
-        )
-    if not np.iscomplexobj(a) and dim >= SVD_ROUTE_MIN_DIM:
+    if not np.iscomplexobj(a) and a.shape[0] >= SVD_ROUTE_MIN_DIM:
         factors = _canonicalize(*_csd_svd_real(a))
         residual = _reconstruction_residual(a, *factors)
         if residual <= tol.reconstruct:
@@ -106,7 +50,7 @@ def _csd_blocks(a: np.ndarray, tol: Tolerances):
 
 
 def split_stack(blocks: np.ndarray, tol: Tolerances):
-    """CSD every block of a (k, m, m) stack.
+    """CSD every block of a (k, m, m) stack, m a power of two.
 
     Returns (lefts, theta, rights) where lefts/rights stack the u, v / x, y
     factors of block b at positions 2b, 2b+1, and theta concatenates the

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     BadPayloadLengthError,
     BadQubitIndexError,
+    JsonFormatError,
     LengthMismatchError,
     TextSyntaxError,
 )
@@ -32,6 +33,8 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
 # angle bit-for-bit through correctly rounded decimal arithmetic.
 _EXACT_DIGITS = 25
 _DISPLAY_WRAP = 4
+# subgate columns per stacked LaTeX diagram
+_LATEX_COLUMNS = 14
 
 
 def _to_turns(angle: float) -> float:
@@ -200,38 +203,41 @@ def emit_json(circuit: Circuit) -> str:
 
 
 def parse_json(text: str) -> Circuit:
-    obj = json.loads(text)
-    gates: list = []
-    for spec in obj["gates"]:
-        kind = spec["kind"]
-        if kind in ("ry", "rz"):
-            gates.append(
-                UniformRotation(
-                    Axis.Y if kind == "ry" else Axis.Z,
-                    spec["target"],
-                    tuple(spec["controls"]),
-                    np.array(spec["angles"], dtype=np.float64),
+    try:
+        obj = json.loads(text)
+        gates: list = []
+        for spec in obj["gates"]:
+            kind = spec["kind"]
+            if kind in ("ry", "rz"):
+                gates.append(
+                    UniformRotation(
+                        Axis.Y if kind == "ry" else Axis.Z,
+                        spec["target"],
+                        tuple(spec["controls"]),
+                        np.array(spec["angles"], dtype=np.float64),
+                    )
                 )
-            )
-        elif kind == "pi":
-            gates.append(
-                PiGate(
-                    spec["target"],
-                    tuple(spec["controls"]),
-                    np.array([ch == "Y" for ch in spec["flags"]]),
+            elif kind == "pi":
+                gates.append(
+                    PiGate(
+                        spec["target"],
+                        tuple(spec["controls"]),
+                        np.array([ch == "Y" for ch in spec["flags"]]),
+                    )
                 )
-            )
-        elif kind == "phase":
-            gates.append(GlobalPhase(float(spec["phase"])))
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-    return Circuit(int(obj["n_qubits"]), tuple(gates))
+            elif kind == "phase":
+                gates.append(GlobalPhase(float(spec["phase"])))
+            else:
+                raise ValueError(f"unknown gate kind {kind!r}")
+        return Circuit(int(obj["n_qubits"]), tuple(gates))
+    except (TypeError, KeyError, ValueError) as exc:
+        raise JsonFormatError(f"malformed circuit JSON: {exc!r}") from exc
 
 
 # --- LaTeX ------------------------------------------------------------------
 
 
-def emit_latex(circuit: Circuit, columns_per_row: int = 14, angle_zero: float = 1e-9) -> str:
+def emit_latex(circuit: Circuit, angle_zero: float = 1e-9) -> str:
     """Qcircuit diagram body, one column per non-vanishing subgate.
 
     Control dots are open for pattern bit 0 and filled for bit 1; long
@@ -247,8 +253,8 @@ def emit_latex(circuit: Circuit, columns_per_row: int = 14, angle_zero: float = 
     ]
     if not columns:
         return "\n".join(lines) + "\n"
-    for start in range(0, len(columns), columns_per_row):
-        chunk = columns[start : start + columns_per_row]
+    for start in range(0, len(columns), _LATEX_COLUMNS):
+        chunk = columns[start : start + _LATEX_COLUMNS]
         lines.append(r"\[")
         lines.append(r"\Qcircuit @C=0.4em @R=0.1em @!R{")
         for wire in range(1, n + 1):

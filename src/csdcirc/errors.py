@@ -19,10 +19,6 @@ class ShapeMismatchError(CsdcircError):
     pass
 
 
-class OddDimensionError(CsdcircError):
-    pass
-
-
 class NumericalFailureError(CsdcircError):
     def __init__(self, residual, tol):
         super().__init__(
@@ -59,6 +55,10 @@ class TextSyntaxError(CsdcircError):
 
 class BadPayloadLengthError(TextSyntaxError):
     pass
+
+
+class JsonFormatError(CsdcircError):
+    """A JSON circuit or matrix file whose structure or values are malformed."""
 
 
 class IsolatedNodeError(CsdcircError):

@@ -16,10 +16,18 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadQubitIndexError, CircuitTooLargeError, LengthMismatchError
+from .errors import (
+    BadQubitIndexError,
+    CircuitTooLargeError,
+    LengthMismatchError,
+    ShapeMismatchError,
+    VerifyFailedError,
+)
 from .matrices import Tolerances, UnitaryOperator, certify_unitary
 
 DENSE_QUBIT_CAP = 10
+# limit of the sampled check above the dense cap
+SAMPLED_VERIFY_TOL = 1e-8
 
 
 class Axis(Enum):
@@ -194,18 +202,49 @@ def gate_matrix(g: Gate, n: int, tol: Tolerances = Tolerances()) -> UnitaryOpera
     return certify_unitary(m, tol)
 
 
-def circuit_matrix(
-    circuit: Circuit, tol: Tolerances = Tolerances(), cap: int = DENSE_QUBIT_CAP
-) -> UnitaryOperator:
+def circuit_matrix(circuit: Circuit, tol: Tolerances = Tolerances()) -> UnitaryOperator:
     """Dense matrix of a whole circuit (last-applied gate leftmost)."""
-    if circuit.n_qubits > cap:
+    if circuit.n_qubits > DENSE_QUBIT_CAP:
         raise CircuitTooLargeError(
-            f"{circuit.n_qubits} qubits exceeds the dense cap of {cap}; use apply_to_state"
+            f"{circuit.n_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}; "
+            "use apply_to_state"
         )
     m = np.eye(circuit.dim, dtype=np.complex128)
     for g in circuit.gates:
         m = _apply_gate(m, g, circuit.n_qubits)
     return certify_unitary(m, tol)
+
+
+def verify(
+    circuit: Circuit, op: UnitaryOperator, tol: Tolerances = Tolerances(), samples: int = 64
+) -> float:
+    """Reconstruction residual of a circuit against the operator it should implement.
+
+    Up to DENSE_QUBIT_CAP qubits the whole matrix is rebuilt and the limit is
+    ``tol.reconstruct``.  Beyond it, ``samples`` basis columns picked by a
+    generator seeded with 0 go through apply_to_state and the limit is
+    SAMPLED_VERIFY_TOL.  Returns the max-abs residual and raises
+    VerifyFailedError when it is above the limit or NaN.
+    """
+    if circuit.dim != op.dim:
+        raise ShapeMismatchError(
+            f"circuit has {circuit.n_qubits} qubits but the matrix needs "
+            f"{(op.dim - 1).bit_length()}"
+        )
+    target = op.as_complex()
+    if circuit.n_qubits <= DENSE_QUBIT_CAP:
+        rebuilt, limit = circuit_matrix(circuit).mat, tol.reconstruct
+    else:
+        rng = np.random.default_rng(0)
+        picks = rng.choice(op.dim, size=min(samples, op.dim), replace=False)
+        batch = np.zeros((op.dim, picks.size), dtype=np.complex128)
+        batch[picks, np.arange(picks.size)] = 1.0
+        rebuilt, target = apply_to_state(circuit, batch), target[:, picks]
+        limit = SAMPLED_VERIFY_TOL
+    residual = float(np.abs(rebuilt - target).max())
+    if not residual <= limit:  # a NaN residual fails too
+        raise VerifyFailedError(residual, limit)
+    return residual
 
 
 def count_subgates(circuit: Circuit, angle_zero: float = Tolerances().angle_zero) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSquareError, NotUnitaryError, ShapeMismatchError
+from .errors import JsonFormatError, NotSquareError, NotUnitaryError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -174,14 +174,18 @@ def format_matrix_json(m) -> str:
 
 
 def parse_matrix_json(text: str) -> np.ndarray:
-    obj = json.loads(text)
-    d = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries, found {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    a = flat.reshape(d, d)
-    if obj.get("real", False):
+    try:
+        obj = json.loads(text)
+        d = int(obj["dim"])
+        entries = obj["entries"]
+        if len(entries) != d * d:
+            raise ValueError(f"expected {d * d} entries, found {len(entries)}")
+        flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+        a = flat.reshape(d, d)
+        real = obj.get("real", False)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise JsonFormatError(f"malformed matrix JSON: {exc!r}") from exc
+    if real:
         return np.ascontiguousarray(a.real)
     return a
 

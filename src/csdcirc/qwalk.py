@@ -51,21 +51,13 @@ class ArcBasis:
         return len(self.arcs)
 
     def index(self, arc: tuple[int, int]) -> int:
-        try:
-            return self._lookup[arc]
-        except AttributeError:
-            object.__setattr__(self, "_lookup", {a: k for k, a in enumerate(self.arcs)})
-            return self._lookup[arc]
+        return self.arcs.index(arc)
 
 
 def arc_basis(g: Graph) -> ArcBasis:
     """Directed arcs ordered by source then destination; self-loops appear once."""
-    arcs = []
-    adj = g.adjacency
-    for i in range(g.node_count):
-        for j in np.flatnonzero(adj[i]):
-            arcs.append((i + 1, int(j) + 1))
-    return ArcBasis(tuple(arcs))
+    src, dst = np.nonzero(g.adjacency)
+    return ArcBasis(tuple(zip(src + 1, dst + 1)))
 
 
 def grover_coin(d: int, tol: Tolerances = Tolerances()) -> UnitaryOperator:
@@ -91,7 +83,11 @@ def walk_unitary(g: Graph, tol: Tolerances = Tolerances()) -> tuple[UnitaryOpera
         coin[offset : offset + d, offset : offset + d] = 2.0 / d
         coin[range(offset, offset + d), range(offset, offset + d)] -= 1.0
         offset += d
-    reverse = np.array([basis.index((j, i)) for (i, j) in basis.arcs])
+    # arcs sort by the key source * N + destination, so searchsorted finds
+    # the position of every reversed arc
+    src, dst = np.nonzero(g.adjacency)
+    n = g.node_count
+    reverse = np.searchsorted(src * n + dst, dst * n + src)
     step = np.zeros_like(coin)
     step[reverse] = coin  # row permutation: (T C)[rev(a), :] = C[a, :]
     return certify_unitary(step, tol), basis

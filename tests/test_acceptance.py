@@ -19,13 +19,7 @@ from csdcirc.decompose import (
     recursive_csd,
 )
 from csdcirc.emitters import emit_text
-from csdcirc.gates import (
-    PiGate,
-    UniformRotation,
-    apply_to_state,
-    circuit_matrix,
-    count_subgates,
-)
+from csdcirc.gates import PiGate, UniformRotation, circuit_matrix, count_subgates, verify
 from csdcirc.matrices import Tolerances, certify_unitary, max_abs_diff, pad_to_power_of_two
 from csdcirc.qwalk import parse_graph, random_graph, walk_unitary
 from paper_data import (
@@ -193,14 +187,7 @@ def test_criterion_6_scalability_12_qubits():
     circ = compile_real(seq)
     compile_elapsed = time.time() - t0
     assert compile_elapsed < 600.0
-    rng = np.random.default_rng(0)
-    target = padded.as_complex()
-    picks = rng.choice(4096, size=64, replace=False)
-    batch = np.zeros((4096, 64), dtype=np.complex128)
-    batch[picks, np.arange(64)] = 1.0
-    out = apply_to_state(circ, batch)
-    worst = float(np.abs(out - target[:, picks]).max())
-    assert worst <= 1e-8
+    worst = verify(circ, padded)  # 64 sampled states, limit 1e-8
     report(
         6,
         f"4011-arc walk padded to 4096 compiled in {compile_elapsed:.0f}s "

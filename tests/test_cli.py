@@ -5,7 +5,9 @@ import pytest
 from scipy.stats import ortho_group, unitary_group
 
 from csdcirc.cli import main
-from csdcirc.matrices import format_matrix_text, parse_matrix_text
+from csdcirc.emitters import parse_json
+from csdcirc.errors import CsdcircError
+from csdcirc.matrices import format_matrix_text, parse_matrix_json, parse_matrix_text
 from paper_data import SQUARE_GRAPH_TEXT, SQUARE_WALK
 
 
@@ -158,3 +160,67 @@ def test_display_mode_output_matches_turn_fractions(tmp_path, capsys):
     assert main(["compile", mat, "--mode", "display"]) == 0
     out = capsys.readouterr().out
     assert "0.5000" in out
+
+
+def test_numerical_failure_exit_code(tmp_path):
+    u = unitary_group.rvs(4, random_state=12)
+    mat = write(tmp_path, "u.mat", format_matrix_text(u))
+    assert main(["compile", mat, "--tol-reconstruct", "1e-30"]) == 4
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_verify_samples_below_one_is_a_usage_error(tmp_path, k):
+    mat = write(tmp_path, "id.mat", format_matrix_text(np.eye(2)))
+    assert main(["compile", mat, "--verify", "--verify-samples", k]) == 1
+    assert main(["verify", mat, mat, "--verify-samples", k]) == 1
+
+
+def test_latex_header_counts_the_printed_total(tmp_path, capsys):
+    u = unitary_group.rvs(8, random_state=1)
+    mat = write(tmp_path, "u8.mat", format_matrix_text(u))
+    prefix = str(tmp_path / "c")
+    args = ["compile", mat, "--tol-zero", "0.5", "--format", "text,latex", "--out", prefix]
+    assert main(args) == 0
+    total = capsys.readouterr().out.split("total=")[1].split()[0]
+    assert int(total) < 64
+    header = (tmp_path / "c.tex").read_text().splitlines()[1]
+    assert header.endswith(f"columns: {total}")
+
+
+GOOD_CIRCUIT = {
+    "n_qubits": 2,
+    "gates": [
+        {"kind": "ry", "target": 2, "controls": [1], "angles": [0.1, 0.2]},
+        {"kind": "pi", "target": 2, "controls": [1], "flags": "NY"},
+        {"kind": "phase", "phase": 0.3},
+    ],
+}
+BAD_CIRCUITS = {
+    "controls-int": lambda c: c["gates"][0].update(controls=5),
+    "phase-null": lambda c: c["gates"][2].update(phase=None),
+    "gates-int": lambda c: c.update(gates=5),
+    "gates-of-int": lambda c: c.update(gates=[1]),
+    "flags-int": lambda c: c["gates"][1].update(flags=7),
+}
+BAD_MATRICES = {
+    "entries-int": {"dim": 1, "real": False, "entries": 5},
+    "entry-null": {"dim": 1, "real": False, "entries": [[None, 0]]},
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_CIRCUITS.values(), ids=BAD_CIRCUITS.keys())
+def test_malformed_circuit_json_is_a_parse_error(tmp_path, corrupt):
+    obj = json.loads(json.dumps(GOOD_CIRCUIT))
+    corrupt(obj)
+    text = json.dumps(obj)
+    with pytest.raises(CsdcircError):
+        parse_json(text)
+    assert main(["stats", write(tmp_path, "c.json", text)]) == 2
+
+
+@pytest.mark.parametrize("obj", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+def test_malformed_matrix_json_is_a_parse_error(tmp_path, obj):
+    text = json.dumps(obj)
+    with pytest.raises(CsdcircError):
+        parse_matrix_json(text)
+    assert main(["compile", write(tmp_path, "m.json", text)]) == 2

@@ -2,42 +2,56 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
-from csdcirc.csd import CsdFactors, csd_split, middle_matrix
-from csdcirc.errors import OddDimensionError
+from csdcirc import decompose
+from csdcirc.csd import split_stack
 from csdcirc.matrices import Tolerances, certify_unitary
 
 
-def reassemble(f: CsdFactors) -> np.ndarray:
+class Split:
+    """CSD of one block through split_stack: [[u, 0], [0, v]] . middle . [[x, 0], [0, y]]."""
+
+    def __init__(self, u):
+        op = certify_unitary(u)
+        a = op.as_real() if op.is_real else op.as_complex()
+        lefts, self.theta, rights = split_stack(a[None], Tolerances())
+        self.u, self.v = lefts
+        self.x, self.y = rights
+
+
+def middle(theta) -> np.ndarray:
+    """Independent oracle for the block rotation [[C, S], [-S, C]]."""
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    return np.block([[c, s], [-s, c]])
+
+
+def reassemble(f: Split) -> np.ndarray:
     """Independent oracle: explicit block multiplication of the three factors."""
-    m = f.half_dim
-    z = np.zeros((m, m))
-    left = np.block([[f.u.mat, z], [z, f.v.mat]])
-    c, s = np.diag(np.cos(f.theta)), np.diag(np.sin(f.theta))
-    mid = np.block([[c, s], [-s, c]])
-    right = np.block([[f.x.mat, z], [z, f.y.mat]])
-    return left @ mid @ right
+    z = np.zeros((f.theta.size, f.theta.size))
+    left = np.block([[f.u, z], [z, f.v]])
+    right = np.block([[f.x, z], [z, f.y]])
+    return left @ middle(f.theta) @ right
 
 
 def test_identity_split():
-    f = csd_split(certify_unitary(np.eye(8)))
+    f = Split(np.eye(8))
     assert np.allclose(f.theta, 0.0)
-    assert np.allclose(f.u.mat @ f.x.mat, np.eye(4), atol=1e-14)
-    assert np.allclose(f.v.mat @ f.y.mat, np.eye(4), atol=1e-14)
+    assert np.allclose(f.u @ f.x, np.eye(4), atol=1e-14)
+    assert np.allclose(f.v @ f.y, np.eye(4), atol=1e-14)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, np.pi / 4, np.pi / 2])
 def test_pure_rotation_split(t):
     u = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-    f = csd_split(certify_unitary(u))
+    f = Split(u)
     assert f.theta[0] == pytest.approx(t, abs=1e-15)
     assert np.abs(reassemble(f) - u).max() < 1e-15
     for factor in (f.u, f.v, f.x, f.y):
-        assert abs(abs(factor.mat[0, 0]) - 1.0) < 1e-15
+        assert abs(abs(factor[0, 0]) - 1.0) < 1e-15
 
 
 def test_random_8x8_reassembles():
     u = unitary_group.rvs(8, random_state=11)
-    f = csd_split(certify_unitary(u))
+    f = Split(u)
     assert np.abs(reassemble(f) - u).max() < 1e-12
 
 
@@ -46,7 +60,7 @@ def test_reconstruction_property(dim):
     # 250 per dimension, 1000 splits in total across the parametrization
     for k in range(250):
         u = unitary_group.rvs(dim, random_state=1000 * dim + k)
-        f = csd_split(certify_unitary(u))
+        f = Split(u)
         assert np.all(f.theta >= 0.0) and np.all(f.theta <= np.pi / 2 + 1e-15)
         assert np.all(np.diff(f.theta) >= 0.0)
         assert np.abs(reassemble(f) - u).max() < 1e-10
@@ -54,26 +68,32 @@ def test_reconstruction_property(dim):
 
 def test_real_input_gives_exactly_real_factors():
     o = ortho_group.rvs(8, random_state=3)
-    f = csd_split(certify_unitary(o))
+    f = Split(o)
     for factor in (f.u, f.v, f.x, f.y):
-        assert not np.iscomplexobj(factor.mat)
-        assert factor.is_real
+        assert not np.iscomplexobj(factor)
+        assert certify_unitary(factor).is_real
     assert np.abs(reassemble(f) - o).max() < 1e-12
 
 
-def test_complex_dtype_real_values_takes_real_path():
+def test_complex_dtype_real_values_takes_real_path(monkeypatch):
     o = ortho_group.rvs(4, random_state=4).astype(complex)
-    f = csd_split(certify_unitary(o))
-    assert not np.iscomplexobj(f.u.mat)
+    dtypes = []
+
+    def spy(blocks, tol):
+        dtypes.append(blocks.dtype)
+        return split_stack(blocks, tol)
+
+    monkeypatch.setattr(decompose, "split_stack", spy)
+    decompose.recursive_csd(certify_unitary(o))
+    assert dtypes and not any(np.issubdtype(d, np.complexfloating) for d in dtypes)
 
 
 def test_split_is_deterministic():
     u = unitary_group.rvs(8, random_state=5)
-    op = certify_unitary(u)
-    f1, f2 = csd_split(op), csd_split(op)
+    f1, f2 = Split(u), Split(u)
     assert np.array_equal(f1.theta, f2.theta)
     for a, b in ((f1.u, f2.u), (f1.v, f2.v), (f1.x, f2.x), (f1.y, f2.y)):
-        assert np.array_equal(a.mat, b.mat)
+        assert np.array_equal(a, b)
 
 
 def test_block_diagonal_is_safe():
@@ -81,7 +101,7 @@ def test_block_diagonal_is_safe():
     q2 = ortho_group.rvs(4, random_state=7)
     z = np.zeros((4, 4))
     u = np.block([[q1, z], [z, q2]])
-    f = csd_split(certify_unitary(u))
+    f = Split(u)
     assert np.allclose(f.theta, 0.0)
     assert np.abs(reassemble(f) - u).max() < 1e-12
 
@@ -91,31 +111,9 @@ def test_anti_block_diagonal_is_safe():
     q2 = ortho_group.rvs(4, random_state=9)
     z = np.zeros((4, 4))
     u = np.block([[z, q1], [q2, z]])
-    f = csd_split(certify_unitary(u))
+    f = Split(u)
     assert np.allclose(f.theta, np.pi / 2)
     assert np.abs(reassemble(f) - u).max() < 1e-12
-
-
-def test_odd_dimension_rejected():
-    with pytest.raises(OddDimensionError):
-        csd_split(certify_unitary(np.eye(5)))
-
-
-def test_middle_matrix_values():
-    assert np.array_equal(middle_matrix([0.0]).mat, np.eye(2))
-    m = middle_matrix([np.pi / 2]).mat
-    assert np.allclose(m, [[0, 1], [-1, 0]], atol=1e-15)
-    t = np.array([np.pi / 4, np.pi / 3])
-    m = middle_matrix(t).mat
-    expect = np.array(
-        [
-            [np.cos(t[0]), 0, np.sin(t[0]), 0],
-            [0, np.cos(t[1]), 0, np.sin(t[1])],
-            [-np.sin(t[0]), 0, np.cos(t[0]), 0],
-            [0, -np.sin(t[1]), 0, np.cos(t[1])],
-        ]
-    )
-    assert np.abs(m - expect).max() < 1e-15
 
 
 def test_svd_route_agrees_with_lapack_route():
@@ -140,6 +138,6 @@ def test_svd_route_handles_identity_padding():
 
 def test_factors_are_certified():
     u = unitary_group.rvs(16, random_state=13)
-    f = csd_split(certify_unitary(u))
+    f = Split(u)
     for factor in (f.u, f.v, f.x, f.y):
-        assert factor.unitarity_residual <= Tolerances().unitary
+        assert certify_unitary(factor).unitarity_residual <= Tolerances().unitary

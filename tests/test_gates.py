@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from csdcirc.errors import BadQubitIndexError, CircuitTooLargeError, LengthMismatchError
+from csdcirc.decompose import compile_complex, recursive_csd
+from csdcirc.errors import (
+    BadQubitIndexError,
+    CircuitTooLargeError,
+    LengthMismatchError,
+    VerifyFailedError,
+)
 from csdcirc.gates import (
     Axis,
     Circuit,
@@ -13,7 +19,9 @@ from csdcirc.gates import (
     circuit_matrix,
     count_subgates,
     gate_matrix,
+    verify,
 )
+from csdcirc.matrices import certify_unitary
 
 
 def test_uncontrolled_y_rotation_matrix():
@@ -110,6 +118,27 @@ def test_apply_rejects_wrong_length():
 def test_dense_cap():
     with pytest.raises(CircuitTooLargeError):
         circuit_matrix(Circuit(11, ()))
+
+
+def test_verify_dense_path_passes_and_catches_a_perturbation():
+    op = certify_unitary(unitary_group.rvs(8, random_state=21))
+    circ = compile_complex(recursive_csd(op))
+    assert verify(circ, op) <= 1e-9
+    gates = list(circ.gates)
+    k = next(i for i, g in enumerate(gates) if isinstance(g, UniformRotation))
+    g = gates[k]
+    gates[k] = UniformRotation(g.axis, g.target, g.controls, g.angles + 1e-3)
+    with pytest.raises(VerifyFailedError):
+        verify(Circuit(3, tuple(gates)), op)
+
+
+def test_verify_sampled_path_above_the_dense_cap():
+    identity = certify_unitary(np.eye(1 << 11))
+    assert verify(Circuit(11, ()), identity) == 0.0
+    for angle in (0.5, np.nan):
+        one_gate = Circuit(11, (UniformRotation(Axis.Y, 1, (), [angle]),))
+        with pytest.raises(VerifyFailedError):
+            verify(one_gate, identity)
 
 
 def test_gate_validation():
