@@ -12,16 +12,23 @@ gauge-fixed so the largest-magnitude entry of the u (and, where the gauge is
 free, v) column is real non-negative.  Correctness of every split is asserted
 by reconstruction, not by the construction route.
 
-Two routes build the factors: LAPACK's CSD (scipy.linalg.cossin) and, for
-large real inputs, a faster composite of SVDs.  The composite route falls
-back to LAPACK whenever its reconstruction residual is not good enough, so
-route selection never affects correctness.
+The kernel works on a whole stack of equal-size blocks.  2x2 blocks have a
+closed form.  Every other complex block, and every real block below
+SVD_ROUTE_MIN_DIM, goes to LAPACK's CSD (xORCSD for real, xUNCSD for complex
+blocks; B. D. Sutton, "Computing the complete CS decomposition", Numer.
+Algorithms 50, 2009): the routine and its workspace size are looked up once
+per stack, the raw routine runs once per block into preallocated factor stacks,
+and canonicalisation and the reconstruction check each run once over the
+whole stack.  Large real blocks take a faster composite of SVDs, one block at
+a time; it falls back to LAPACK whenever its reconstruction residual is not
+good enough, so route selection never affects correctness.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cossin
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import _compute_lwork
 
 from .errors import NumericalFailureError
 from .matrices import Tolerances
@@ -36,16 +43,17 @@ SVD_ROUTE_MIN_DIM = 512
 
 
 def _csd_blocks(a: np.ndarray, tol: Tolerances):
-    """Route one block to a construction backend and enforce the contract."""
-    if not np.iscomplexobj(a) and a.shape[0] >= SVD_ROUTE_MIN_DIM:
+    """SVD-composite CSD of one large real block, LAPACK where it falls short."""
+    try:
         factors = _canonicalize(*_csd_svd_real(a))
-        residual = _reconstruction_residual(a, *factors)
-        if residual <= tol.reconstruct:
+        if _reconstruction_residual(a, *factors) <= tol.reconstruct:
             return factors
+    except np.linalg.LinAlgError:  # an SVD that does not converge
+        if not np.isfinite(a).all():
+            # LAPACK would fail as well, after several times a finite split
+            raise NumericalFailureError(np.nan, tol.reconstruct) from None
     factors = _canonicalize(*_csd_cossin(a))
-    residual = _reconstruction_residual(a, *factors)
-    if residual > tol.reconstruct:
-        raise NumericalFailureError(residual, tol.reconstruct)
+    _require(_reconstruction_residual(a, *factors), tol)
     return factors
 
 
@@ -58,31 +66,79 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     """
     k, m, _ = blocks.shape
     h = m // 2
-    if m == 2:
-        (u, v, theta, x, y), residual = _csd_dim2_batch(blocks)
-        if residual > tol.reconstruct:
-            raise NumericalFailureError(residual, tol.reconstruct)
-        lefts = np.empty((2 * k, 1, 1), dtype=blocks.dtype)
-        rights = np.empty((2 * k, 1, 1), dtype=blocks.dtype)
-        lefts[0::2, 0, 0], lefts[1::2, 0, 0] = u, v
-        rights[0::2, 0, 0], rights[1::2, 0, 0] = x, y
+    if not np.iscomplexobj(blocks) and m >= SVD_ROUTE_MIN_DIM:
+        lefts = np.empty((2 * k, h, h))
+        rights = np.empty_like(lefts)
+        theta = np.empty(k * h)
+        for b in range(k):
+            u, v, th, x, y = _csd_blocks(blocks[b], tol)
+            lefts[2 * b], lefts[2 * b + 1] = u, v
+            rights[2 * b], rights[2 * b + 1] = x, y
+            theta[b * h : (b + 1) * h] = th
         return lefts, theta, rights
-    lefts = np.empty((2 * k, h, h), dtype=blocks.dtype)
-    rights = np.empty((2 * k, h, h), dtype=blocks.dtype)
-    theta = np.empty(k * h)
-    for b in range(k):
-        u, v, th, x, y = _csd_blocks(blocks[b], tol)
-        lefts[2 * b], lefts[2 * b + 1] = u, v
-        rights[2 * b], rights[2 * b + 1] = x, y
-        theta[b * h : (b + 1) * h] = th
-    return lefts, theta, rights
+    if m == 2:
+        factors, residual = _csd_dim2_batch(blocks)
+    else:
+        factors = _canonicalize(*_csd_lapack(blocks))
+        residual = _reconstruction_residual(blocks, *factors)
+    _require(residual, tol)
+    u, v, theta, x, y = factors
+    lefts = np.stack((u, v), axis=1).reshape(2 * k, h, h)
+    rights = np.stack((x, y), axis=1).reshape(2 * k, h, h)
+    return lefts, theta.reshape(-1), rights
+
+
+def _require(residual: float, tol: Tolerances):
+    """Enforce the reconstruction contract; a NaN residual fails it too."""
+    if not residual <= tol.reconstruct:
+        raise NumericalFailureError(residual, tol.reconstruct)
 
 
 def _csd_cossin(a: np.ndarray):
-    """LAPACK CSD, remapped from scipy's [[C, -S], [S, C]] sign convention."""
-    m = a.shape[0] // 2
-    (u1, u2), theta, (v1h, v2h) = cossin(a, p=m, q=m, separate=True)
-    return u1, -u2, np.asarray(theta, dtype=np.float64), v1h, -v2h
+    """LAPACK CSD of one block: the stacked kernel on a stack of one."""
+    return tuple(f[0] for f in _csd_lapack(a[None]))
+
+
+def _csd_lapack(blocks: np.ndarray):
+    """LAPACK CSD of every block of a (k, 2h, 2h) stack, before canonicalisation.
+
+    LAPACK's middle factor is [[C, -S], [S, C]]; negating u2 and v2^H maps it
+    to this module's [[C, S], [-S, C]].  A block LAPACK cannot split gets NaN
+    angles, which the reconstruction check then rejects.
+    """
+    k, m, _ = blocks.shape
+    h = m // 2
+    name = "uncsd" if np.iscomplexobj(blocks) else "orcsd"
+    csd, csd_lwork = get_lapack_funcs((name, name + "_lwork"), (blocks,))
+    lwork = _compute_lwork(csd_lwork, m=m, p=h, q=h)
+    options = {"trans": False, "signs": False}
+    if name == "uncsd":
+        options.update(lwork=lwork[0], lrwork=lwork[1])
+    else:
+        options.update(lwork=lwork)
+    u = np.empty((k, h, h), dtype=blocks.dtype)
+    v, x, y = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    theta = np.empty((k, h))
+    for b in range(k):
+        u[b], v[b], theta[b], x[b], y[b] = cossin(blocks[b], csd, options)
+    return u, np.negative(v, out=v), theta, x, np.negative(y, out=y)
+
+
+def cossin(a: np.ndarray, csd, options: dict):
+    """One raw xORCSD/xUNCSD call on a 2h x 2h block, in LAPACK's sign convention.
+
+    Returns (u1, u2, theta, v1^H, v2^H) as scipy.linalg.cossin(a, h, h,
+    separate=True) would, without its per-call lookup and input checks;
+    theta is NaN where LAPACK reports a failure.  The pipeline benchmark's
+    traced run wraps this name to time the per-block LAPACK work.
+    """
+    h = a.shape[0] // 2
+    *_, theta, u1, u2, v1h, v2h, info = csd(
+        a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:], **options
+    )
+    if info != 0:
+        theta = np.full(h, np.nan)
+    return u1, u2, theta, v1h, v2h
 
 
 def _csd_svd_real(a: np.ndarray):
@@ -158,11 +214,11 @@ def _csd_dim2_batch(blocks: np.ndarray):
     y = _unit_phase(b, _unit_phase(d, ones))
     ct, st = np.cos(theta), np.sin(theta)
     v = _unit_phase(-st * c * np.conj(x) + ct * d * np.conj(y), ones)
-    residual = max(
-        float(np.abs(u * ct * x - a).max()),
-        float(np.abs(u * st * y - b).max()),
-        float(np.abs(-v * st * x - c).max()),
-        float(np.abs(v * ct * y - d).max()),
+    residual = _worst(
+        u * ct * x - a,
+        u * st * y - b,
+        -v * st * x - c,
+        v * ct * y - d,
     )
     return (u, v, theta, x, y), residual
 
@@ -175,16 +231,21 @@ def _unit_phase(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 
 def _canonicalize(u, v, theta, x, y):
-    """Sort theta ascending and gauge-fix the factor columns deterministically."""
-    order = np.argsort(theta, kind="stable")
-    if not np.array_equal(order, np.arange(theta.size)):
-        theta = theta[order]
-        u, v = u[:, order], v[:, order]
-        x, y = x[order, :], y[order, :]
+    """Sort theta ascending and gauge-fix the factor columns deterministically.
+
+    Takes one block's factors (theta of shape (h,)) or a stack's (theta of
+    shape (k, h)); every step acts on each block alone, so a block comes out
+    the same either way, bit for bit.
+    """
+    order = np.argsort(theta, axis=-1, kind="stable")
+    if np.any(order != np.arange(theta.shape[-1])):  # already sorted: skip the copies
+        theta = np.take_along_axis(theta, order, axis=-1)
+        u = np.take_along_axis(u, order[..., None, :], axis=-1)
+        v = np.take_along_axis(v, order[..., None, :], axis=-1)
+        x = np.take_along_axis(x, order[..., :, None], axis=-2)
+        y = np.take_along_axis(y, order[..., :, None], axis=-2)
     c, s = np.cos(theta), np.sin(theta)
-    cols = np.arange(theta.size)
-    ph_u = _unit_phase(u[np.argmax(np.abs(u), axis=0), cols], np.ones_like(u[0]))
-    ph_v = _unit_phase(v[np.argmax(np.abs(v), axis=0), cols], np.ones_like(v[0]))
+    ph_u, ph_v = _peak_phase(u), _peak_phase(v)
     # Columns of u and v carry the conjugated gauge; rows of x and y absorb
     # it.  Only where sin (cos) vanishes outright does the v gauge decouple
     # and follow v's own column, compensated in y (x); at any larger sin the
@@ -193,19 +254,32 @@ def _canonicalize(u, v, theta, x, y):
     gauge_v = np.where(small_s | small_c, ph_v, ph_u)
     gauge_x = np.where(small_c, ph_v, ph_u)
     gauge_y = np.where(small_s, ph_v, ph_u)
-    u = u * np.conj(ph_u)[None, :]
-    v = v * np.conj(gauge_v)[None, :]
-    x = x * gauge_x[:, None]
-    y = y * gauge_y[:, None]
+    u = u * np.conj(ph_u)[..., None, :]
+    v = v * np.conj(gauge_v)[..., None, :]
+    x = x * gauge_x[..., :, None]
+    y = y * gauge_y[..., :, None]
     return u, v, theta, x, y
 
 
+def _peak_phase(f: np.ndarray) -> np.ndarray:
+    """Unit phase of each column's largest-magnitude entry (1 for a zero column)."""
+    rows = np.argmax(np.abs(f), axis=-2)
+    peak = np.take_along_axis(f, rows[..., None, :], axis=-2)[..., 0, :]
+    return _unit_phase(peak, np.ones_like(peak))
+
+
 def _reconstruction_residual(a, u, v, theta, x, y) -> float:
-    c, s = np.cos(theta), np.sin(theta)
-    m = theta.size
-    return max(
-        float(np.abs((u * c) @ x - a[:m, :m]).max()),
-        float(np.abs((u * s) @ y - a[:m, m:]).max()),
-        float(np.abs(-(v * s) @ x - a[m:, :m]).max()),
-        float(np.abs((v * c) @ y - a[m:, m:]).max()),
+    """Worst entry error of the reassembled quadrants, over one block or a stack."""
+    c, s = np.cos(theta)[..., None, :], np.sin(theta)[..., None, :]
+    m = theta.shape[-1]
+    return _worst(
+        (u * c) @ x - a[..., :m, :m],
+        (u * s) @ y - a[..., :m, m:],
+        -(v * s) @ x - a[..., m:, :m],
+        (v * c) @ y - a[..., m:, m:],
     )
+
+
+def _worst(*errors: np.ndarray) -> float:
+    """Largest absolute entry over all arrays; NaN if any entry is NaN."""
+    return float(np.max([np.abs(e).max() for e in errors]))

@@ -112,6 +112,7 @@ def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
     ]
     pos = 0
     gates: list = []
+    gate_lines: list[int] = []
     max_qubit = 0
     while pos < len(numbered):
         lineno, keyword = numbered[pos]
@@ -138,7 +139,11 @@ def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
                 f"payload has {len(tokens)} values, expected {expected}", last_no
             )
         gates.append(_build_gate(keyword, target, controls, tokens, last_no))
+        gate_lines.append(last_no)
         max_qubit = max(max_qubit, target if keyword != "GATEPHASE" else 0, *controls or (0,))
+    bad = _first_non_finite(gates)
+    if bad is not None:
+        raise TextSyntaxError("angle is NaN or infinite", gate_lines[bad])
     inferred = n_qubits if n_qubits is not None else max_qubit
     return Circuit(inferred, tuple(gates))
 
@@ -171,6 +176,20 @@ def _build_gate(keyword, target, controls, tokens, lineno):
         return UniformRotation(axis, target, controls, angles)
     except (BadQubitIndexError, LengthMismatchError) as exc:
         raise TextSyntaxError(str(exc), lineno) from exc
+
+
+def _first_non_finite(gates) -> int | None:
+    """Index of the first gate whose angles or phase hold NaN or inf, else None.
+
+    One vectorised check per circuit: a check per gate costs both parsers
+    several percent of their time.
+    """
+    values = [
+        g.angles if isinstance(g, UniformRotation) else [getattr(g, "phase", 0.0)] for g in gates
+    ]
+    if not values or np.isfinite(np.concatenate(values)).all():
+        return None
+    return next(i for i, v in enumerate(values) if not np.isfinite(v).all())
 
 
 # --- JSON -------------------------------------------------------------------
@@ -229,6 +248,9 @@ def parse_json(text: str) -> Circuit:
                 gates.append(GlobalPhase(float(spec["phase"])))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
+        bad = _first_non_finite(gates)
+        if bad is not None:
+            raise ValueError(f"gate {bad} has a NaN or infinite angle")
         return Circuit(int(obj["n_qubits"]), tuple(gates))
     except (TypeError, KeyError, ValueError) as exc:
         raise JsonFormatError(f"malformed circuit JSON: {exc!r}") from exc

@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import ortho_group, unitary_group
 
 from csdcirc.cli import main
-from csdcirc.emitters import parse_json
-from csdcirc.errors import CsdcircError
+from csdcirc.emitters import parse_json, parse_text
+from csdcirc.errors import CsdcircError, JsonFormatError, TextSyntaxError
 from csdcirc.matrices import format_matrix_text, parse_matrix_json, parse_matrix_text
 from paper_data import SQUARE_GRAPH_TEXT, SQUARE_WALK
 
@@ -201,6 +201,12 @@ BAD_CIRCUITS = {
     "gates-int": lambda c: c.update(gates=5),
     "gates-of-int": lambda c: c.update(gates=[1]),
     "flags-int": lambda c: c["gates"][1].update(flags=7),
+    "angle-null": lambda c: c["gates"][0].update(angles=[None, 0.2]),
+    "angle-nan": lambda c: c["gates"][0].update(angles=[0.1, float("nan")]),
+    "angle-inf": lambda c: c["gates"][0].update(angles=[float("inf"), 0.2]),
+    "angle-minus-inf": lambda c: c["gates"][0].update(angles=[0.1, float("-inf")]),
+    "phase-nan": lambda c: c["gates"][2].update(phase=float("nan")),
+    "phase-inf": lambda c: c["gates"][2].update(phase=float("inf")),
 }
 BAD_MATRICES = {
     "entries-int": {"dim": 1, "real": False, "entries": 5},
@@ -213,9 +219,18 @@ def test_malformed_circuit_json_is_a_parse_error(tmp_path, corrupt):
     obj = json.loads(json.dumps(GOOD_CIRCUIT))
     corrupt(obj)
     text = json.dumps(obj)
-    with pytest.raises(CsdcircError):
+    with pytest.raises(JsonFormatError):
         parse_json(text)
     assert main(["stats", write(tmp_path, "c.json", text)]) == 2
+
+
+@pytest.mark.parametrize("keyword", ["GATEY", "GATEZ", "GATEPHASE"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity", "sNaN"])
+def test_non_finite_text_angle_is_a_parse_error(tmp_path, keyword, token):
+    text = f"{keyword}\n  1;\n  {token}\n"
+    with pytest.raises(TextSyntaxError):
+        parse_text(text, 1)
+    assert main(["stats", write(tmp_path, "c.txt", text)]) == 2
 
 
 @pytest.mark.parametrize("obj", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import cossin, get_lapack_funcs
 from scipy.stats import ortho_group, unitary_group
 
-from csdcirc import decompose
-from csdcirc.csd import split_stack
-from csdcirc.matrices import Tolerances, certify_unitary
+from csdcirc import csd, decompose
+from csdcirc.csd import DEGEN_EPS, split_stack
+from csdcirc.errors import NumericalFailureError
+from csdcirc.matrices import Tolerances, certify_unitary, pad_to_power_of_two
+from csdcirc.qwalk import random_graph, walk_unitary
 
 
 class Split:
@@ -141,3 +144,98 @@ def test_factors_are_certified():
     f = Split(u)
     for factor in (f.u, f.v, f.x, f.y):
         assert certify_unitary(factor).unitarity_residual <= Tolerances().unitary
+
+
+@pytest.mark.parametrize("dim", [2, 4, 1024])
+def test_non_finite_block_is_a_numerical_failure(dim):
+    # 1024 is real and takes the SVD route, whose SVD does not converge on NaN
+    a = ortho_group.rvs(dim, random_state=14)[None]
+    a[0, 0, 1] = np.nan
+    with pytest.raises(NumericalFailureError):
+        split_stack(a, Tolerances())
+
+
+def test_lapack_failure_is_a_numerical_failure(monkeypatch):
+    def failing(names, arrays):
+        routine, lwork = get_lapack_funcs(names, arrays)
+        return (lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1)), lwork
+
+    monkeypatch.setattr(csd, "get_lapack_funcs", failing)
+    with pytest.raises(NumericalFailureError):
+        split_stack(unitary_group.rvs(8, random_state=15)[None], Tolerances())
+
+
+def reference_split(blocks):
+    """scipy.linalg.cossin per block, sign-remapped and canonicalised alone."""
+    h = blocks.shape[1] // 2
+    lefts, thetas, rights = [], [], []
+    for a in blocks:
+        (u1, u2), theta, (v1h, v2h) = cossin(a, p=h, q=h, separate=True)
+        one = (u1[None], -u2[None], theta[None], v1h[None], -v2h[None])
+        u, v, theta, x, y = (f[0] for f in csd._canonicalize(*one))
+        lefts += [u, v]
+        rights += [x, y]
+        thetas.append(theta)
+    return np.stack(lefts), np.concatenate(thetas), np.stack(rights)
+
+
+def walk_stacks():
+    """The m = 4 and m = 8 stacks split_stack sees on a small walk operator."""
+    seen = []
+
+    def spy(blocks, tol):
+        if blocks.shape[1] in (4, 8):
+            seen.append(blocks.copy())
+        return split_stack(blocks, tol)
+
+    op, _ = walk_unitary(random_graph(9, 31, seed=2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "split_stack", spy)
+        decompose.recursive_csd(pad_to_power_of_two(op)[0])
+    return seen
+
+
+def random_stack(group, m, k, seed):
+    return np.stack([group.rvs(m, random_state=seed + i) for i in range(k)])
+
+
+STACKS = {
+    f"{kind}-m{m}": (group, m)
+    for m in (4, 8, 16, 64)
+    for kind, group in (("real", ortho_group), ("complex", unitary_group))
+}
+
+
+def assert_bit_identical_to_cossin(blocks):
+    """split_stack against reference_split; returns theta as (blocks, angles)."""
+    got, want = split_stack(blocks, Tolerances()), reference_split(blocks)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got[1].reshape(blocks.shape[0], -1)
+
+
+@pytest.mark.parametrize("group, m", STACKS.values(), ids=STACKS.keys())
+def test_stacked_kernel_is_bit_identical_to_cossin_per_block(group, m):
+    assert_bit_identical_to_cossin(random_stack(group, m, 5, seed=100 * m))
+
+
+def test_stacked_kernel_is_bit_identical_on_walk_stacks():
+    stacks = walk_stacks()
+    assert {s.shape[1] for s in stacks} == {4, 8}
+    clustered = 0
+    for blocks in stacks:
+        theta = assert_bit_identical_to_cossin(blocks)
+        clustered += np.count_nonzero(np.abs(np.diff(theta, axis=1)) <= DEGEN_EPS)
+    assert clustered  # the walk stacks carry degenerate theta clusters
+
+
+def test_canonicalize_stack_equals_one_block_at_a_time():
+    blocks = random_stack(unitary_group, 8, 6, seed=16)
+    raw = csd._csd_lapack(blocks)
+    # a block with repeated and out-of-order angles exercises sort and gauge
+    raw[2][1] = [np.pi / 2, 0.3, 0.0, 0.3]
+    stacked = csd._canonicalize(*raw)
+    for b in range(blocks.shape[0]):
+        alone = csd._canonicalize(*(f[b] for f in raw))
+        for s, a in zip(stacked, alone):
+            assert np.array_equal(s[b], a)
