@@ -12,16 +12,19 @@ gauge-fixed so the largest-magnitude entry of the u (and, where the gauge is
 free, v) column is real non-negative.  Correctness of every split is asserted
 by reconstruction, not by the construction route.
 
-The kernel works on a whole stack of equal-size blocks.  2x2 blocks have a
-closed form.  Every other complex block, and every real block below
-SVD_ROUTE_MIN_DIM, goes to LAPACK's CSD (xORCSD for real, xUNCSD for complex
-blocks; B. D. Sutton, "Computing the complete CS decomposition", Numer.
-Algorithms 50, 2009): the routine and its workspace size are looked up once
-per stack, the raw routine runs once per block into preallocated factor stacks,
-and canonicalisation and the reconstruction check each run once over the
-whole stack.  Large real blocks take a faster composite of SVDs, one block at
-a time; it falls back to LAPACK whenever its reconstruction residual is not
-good enough, so route selection never affects correctness.
+The kernel works on a whole stack of equal-size blocks, one recursion level
+at a time, and writes the factors into preallocated output stacks.  2x2
+blocks have a closed form.  Every other complex block, and every real block
+below SVD_ROUTE_MIN_DIM, goes to LAPACK's CSD (xORCSD for real, xUNCSD for
+complex blocks; B. D. Sutton, "Computing the complete CS decomposition",
+Numer. Algorithms 50, 2009): the routine and its workspace size are looked up
+once per chunk of the stack, the raw routine runs once per block, and
+canonicalisation and the reconstruction check each run once over the chunk.
+Chunks bound the temporaries of these batched steps, which would otherwise
+grow with the whole level.  Large real blocks take a faster composite of
+SVDs, one block at a time; it falls back to LAPACK whenever its
+reconstruction residual is not good enough, so route selection never affects
+correctness.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ DEGEN_EPS = 1e-8
 GAUGE_EPS = 1e-13
 # real blocks at least this large take the SVD-composite route
 SVD_ROUTE_MIN_DIM = 512
+# the batched routes take a stack this many entries at a time, so their
+# temporaries stay small next to a whole recursion level's stack
+_CHUNK_ENTRIES = 1 << 18
 
 
 def _csd_blocks(a: np.ndarray, tol: Tolerances):
@@ -49,9 +55,7 @@ def _csd_blocks(a: np.ndarray, tol: Tolerances):
         if _reconstruction_residual(a, *factors) <= tol.reconstruct:
             return factors
     except np.linalg.LinAlgError:  # an SVD that does not converge
-        if not np.isfinite(a).all():
-            # LAPACK would fail as well, after several times a finite split
-            raise NumericalFailureError(np.nan, tol.reconstruct) from None
+        pass
     factors = _canonicalize(*_csd_cossin(a))
     _require(_reconstruction_residual(a, *factors), tol)
     return factors
@@ -62,30 +66,36 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
 
     Returns (lefts, theta, rights) where lefts/rights stack the u, v / x, y
     factors of block b at positions 2b, 2b+1, and theta concatenates the
-    per-block angle vectors in block order.
+    per-block angle vectors in block order.  A stack holding NaN or inf fails
+    before any route runs: LAPACK iterates to its limit on such a block.
     """
+    if not np.isfinite(blocks).all():
+        raise NumericalFailureError(np.nan, tol.reconstruct)
     k, m, _ = blocks.shape
     h = m // 2
+    lefts = np.empty((k, 2, h, h), dtype=blocks.dtype)
+    rights = np.empty_like(lefts)
+    theta = np.empty((k, h))
     if not np.iscomplexobj(blocks) and m >= SVD_ROUTE_MIN_DIM:
-        lefts = np.empty((2 * k, h, h))
-        rights = np.empty_like(lefts)
-        theta = np.empty(k * h)
         for b in range(k):
-            u, v, th, x, y = _csd_blocks(blocks[b], tol)
-            lefts[2 * b], lefts[2 * b + 1] = u, v
-            rights[2 * b], rights[2 * b + 1] = x, y
-            theta[b * h : (b + 1) * h] = th
-        return lefts, theta, rights
-    if m == 2:
-        factors, residual = _csd_dim2_batch(blocks)
+            lefts[b, 0], lefts[b, 1], theta[b], rights[b, 0], rights[b, 1] = _csd_blocks(
+                blocks[b], tol
+            )
     else:
-        factors = _canonicalize(*_csd_lapack(blocks))
-        residual = _reconstruction_residual(blocks, *factors)
-    _require(residual, tol)
-    u, v, theta, x, y = factors
-    lefts = np.stack((u, v), axis=1).reshape(2 * k, h, h)
-    rights = np.stack((x, y), axis=1).reshape(2 * k, h, h)
-    return lefts, theta.reshape(-1), rights
+        step = max(1, _CHUNK_ENTRIES // (m * m))
+        for lo in range(0, k, step):
+            rows = slice(lo, lo + step)
+            if m == 2:
+                factors, residual = _csd_dim2_batch(blocks[rows])
+            else:
+                factors = _canonicalize(*_csd_lapack(blocks[rows]))
+                residual = _reconstruction_residual(blocks[rows], *factors)
+            _require(residual, tol)
+            u, v, th, x, y = factors
+            lefts[rows, 0], lefts[rows, 1] = u.reshape(-1, h, h), v.reshape(-1, h, h)
+            rights[rows, 0], rights[rows, 1] = x.reshape(-1, h, h), y.reshape(-1, h, h)
+            theta[rows] = th.reshape(-1, h)
+    return lefts.reshape(2 * k, h, h), theta.reshape(-1), rights.reshape(2 * k, h, h)
 
 
 def _require(residual: float, tol: Tolerances):

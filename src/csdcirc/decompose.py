@@ -11,6 +11,10 @@ paired phases into half-sums (absorbed rightwards) and half-differences (the
 gate angles); the real pipeline conjugates each A_p with the running +-1
 diagonal instead, which only flips angle signs, and factors the final sign
 diagonal into Pi gates.
+
+The recursion is level-synchronous: it walks the CSD tree breadth-first and
+splits every block of a level in one ``split_stack`` call, n calls in all
+instead of one per tree node, then reads the factors off in position order.
 """
 
 from __future__ import annotations
@@ -76,42 +80,42 @@ def level_of_position(p: int, n: int) -> int:
 
 
 def recursive_csd(u_op: UnitaryOperator, tol: Tolerances = Tolerances()) -> DecompositionSequence:
-    """Fully decompose a certified power-of-two unitary."""
+    """Fully decompose a certified power-of-two unitary, one CSD level at a time.
+
+    Level l splits all 4**(l-1) blocks of size 2**(n-l+1) in one
+    ``split_stack`` call: the stack holds the 2**(l-1) tree nodes of that
+    level in order, each node's 2**(l-1) blocks contiguous.  Node j's lefts
+    and then its rights become nodes 2j and 2j+1 of the next level, so after
+    n levels the stack is the 2**n leaf diagonals in order.  Position p sits
+    at level l = level_of_position(p, n) as node p >> (n-l+1); its diagonal
+    is leaf p-1, and leaf 2**n-1 is the trailing diagonal.
+    """
     n = qubit_count(u_op.dim)
-    work = u_op.as_real() if u_op.is_real else u_op.as_complex().copy()
-    if n == 0:
-        return DecompositionSequence(
-            n=0,
-            factors=(),
-            leaf_diagonal=LeafDiagonal(_phases_of(work.reshape(1))),
-            is_real=u_op.is_real,
-        )
-    items, trailing = _recurse(work[None, :, :], 1, tol)
-    factors = tuple(
-        SequenceFactor(level=level, theta=theta, diag_phases=_phases_of(diag))
-        for diag, level, theta in items
-    )
+    blocks = (u_op.as_real() if u_op.is_real else u_op.as_complex())[None]
+    thetas = []
+    for level in range(1, n + 1):
+        nodes, h = 1 << (level - 1), blocks.shape[1] // 2
+        lefts, theta, rights = split_stack(blocks, tol)
+        thetas.append(theta.reshape(nodes, -1))
+        # every array of a level is as large as the operator: drop the input
+        # before the next stack is built and the split outputs right after
+        del blocks
+        blocks = np.stack(
+            (lefts.reshape(nodes, -1, h, h), rights.reshape(nodes, -1, h, h)), axis=1
+        ).reshape(-1, h, h)
+        del lefts, rights
+    leaves = _phases_of(blocks.reshape(1 << n, 1 << n))
+    factors = []
+    for p in range(1, 1 << n):
+        level = level_of_position(p, n)
+        theta = thetas[level - 1][p >> (n - level + 1)]
+        factors.append(SequenceFactor(level=level, theta=theta, diag_phases=leaves[p - 1]))
     return DecompositionSequence(
         n=n,
-        factors=factors,
-        leaf_diagonal=LeafDiagonal(_phases_of(trailing)),
+        factors=tuple(factors),
+        leaf_diagonal=LeafDiagonal(leaves[-1]),
         is_real=u_op.is_real,
     )
-
-
-def _recurse(blocks: np.ndarray, level: int, tol: Tolerances):
-    """In-order expansion of a stack of diagonal blocks.
-
-    Returns (items, trailing) with items = [(diag, level, theta), ...]; each
-    diagonal precedes its rotation factor, and ``trailing`` is the rightmost
-    leaf diagonal of this subtree.
-    """
-    if blocks.shape[1] == 1:
-        return [], blocks[:, 0, 0].copy()
-    lefts, theta, rights = split_stack(blocks, tol)
-    left_items, left_trailing = _recurse(lefts, level + 1, tol)
-    right_items, right_trailing = _recurse(rights, level + 1, tol)
-    return [*left_items, (left_trailing, level, theta), *right_items], right_trailing
 
 
 def _phases_of(diag: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ to the general pipeline, mirroring GATEY/GATEPI syntax.
 from __future__ import annotations
 
 import json
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -32,6 +32,10 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
 # Digits for exact mode: enough that turn -> radians reproduces the float64
 # angle bit-for-bit through correctly rounded decimal arithmetic.
 _EXACT_DIGITS = 25
+# one context per precision: entering localcontext() per angle costs more
+# than the arithmetic
+_EMIT = Context(prec=_EXACT_DIGITS)
+_PARSE = Context(prec=2 * _EXACT_DIGITS)
 _DISPLAY_WRAP = 4
 # subgate columns per stacked LaTeX diagram
 _LATEX_COLUMNS = 14
@@ -45,21 +49,30 @@ def _to_turns(angle: float) -> float:
 
 
 def _to_turns_exact(angle: float) -> str:
-    with localcontext() as ctx:
-        ctx.prec = _EXACT_DIGITS
-        turns = Decimal(float(angle) + 0.0) / _PI  # +0.0 drops -0.0
-        two = Decimal(2)
-        while turns > 1:
-            turns -= two
-        while turns <= -1:
-            turns += two
-        return str(turns)
+    turns = _EMIT.divide(Decimal(float(angle) + 0.0), _PI)  # +0.0 drops -0.0
+    if not -1 < turns <= 1:
+        turns = _wrap_turns(turns)
+    return str(turns)
+
+
+def _wrap_turns(turns: Decimal) -> Decimal:
+    """turns - 2k in (-1, 1]: what subtracting 2 k times gives, in one step.
+
+    turns has at most _EXACT_DIGITS digits, so where its exponent is <= 0 the
+    difference is exact in that exponent.  A larger exponent makes turns a
+    multiple of 10, hence an even integer, which wraps to zero.
+    """
+    if turns.is_infinite():
+        return turns
+    if turns.as_tuple().exponent > 0:
+        return Decimal(0)
+    numerator, denominator = turns.as_integer_ratio()
+    k = -((denominator - numerator) // (2 * denominator))  # ceil((turns - 1) / 2)
+    return _EMIT.subtract(turns, Decimal(2 * k))
 
 
 def _from_turns(token: str) -> float:
-    with localcontext() as ctx:
-        ctx.prec = 2 * _EXACT_DIGITS
-        return float(Decimal(token) * _PI)
+    return float(_PARSE.multiply(Decimal(token), _PI))
 
 
 _KEYWORDS = {"GATEY", "GATEZ", "GATEPI", "GATEPHASE"}
@@ -231,18 +244,13 @@ def parse_json(text: str) -> Circuit:
                 gates.append(
                     UniformRotation(
                         Axis.Y if kind == "ry" else Axis.Z,
-                        spec["target"],
-                        tuple(spec["controls"]),
+                        *_qubits_of(spec),
                         np.array(spec["angles"], dtype=np.float64),
                     )
                 )
             elif kind == "pi":
                 gates.append(
-                    PiGate(
-                        spec["target"],
-                        tuple(spec["controls"]),
-                        np.array([ch == "Y" for ch in spec["flags"]]),
-                    )
+                    PiGate(*_qubits_of(spec), np.array([ch == "Y" for ch in spec["flags"]]))
                 )
             elif kind == "phase":
                 gates.append(GlobalPhase(float(spec["phase"])))
@@ -251,9 +259,20 @@ def parse_json(text: str) -> Circuit:
         bad = _first_non_finite(gates)
         if bad is not None:
             raise ValueError(f"gate {bad} has a NaN or infinite angle")
-        return Circuit(int(obj["n_qubits"]), tuple(gates))
+        return Circuit(_index(obj["n_qubits"]), tuple(gates))
     except (TypeError, KeyError, ValueError) as exc:
         raise JsonFormatError(f"malformed circuit JSON: {exc!r}") from exc
+
+
+def _qubits_of(spec: dict) -> tuple[int, tuple[int, ...]]:
+    return _index(spec["target"]), tuple(_index(c) for c in spec["controls"])
+
+
+def _index(value) -> int:
+    """A JSON qubit index or count; floats and booleans are not integers here."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # --- LaTeX ------------------------------------------------------------------

@@ -207,6 +207,10 @@ BAD_CIRCUITS = {
     "angle-minus-inf": lambda c: c["gates"][0].update(angles=[0.1, float("-inf")]),
     "phase-nan": lambda c: c["gates"][2].update(phase=float("nan")),
     "phase-inf": lambda c: c["gates"][2].update(phase=float("inf")),
+    "target-float": lambda c: c["gates"][0].update(target=1.5),
+    "control-float": lambda c: c["gates"][1].update(controls=[1.9]),
+    "control-bool": lambda c: c["gates"][0].update(controls=[True]),
+    "n-qubits-float": lambda c: c.update(n_qubits=2.7),
 }
 BAD_MATRICES = {
     "entries-int": {"dim": 1, "real": False, "entries": 5},
@@ -221,7 +225,9 @@ def test_malformed_circuit_json_is_a_parse_error(tmp_path, corrupt):
     text = json.dumps(obj)
     with pytest.raises(JsonFormatError):
         parse_json(text)
-    assert main(["stats", write(tmp_path, "c.json", text)]) == 2
+    circuit = write(tmp_path, "c.json", text)
+    assert main(["stats", circuit]) == 2
+    assert main(["verify", circuit, write(tmp_path, "id.mat", format_matrix_text(np.eye(4)))]) == 2
 
 
 @pytest.mark.parametrize("keyword", ["GATEY", "GATEZ", "GATEPHASE"])

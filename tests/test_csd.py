@@ -155,6 +155,38 @@ def test_non_finite_block_is_a_numerical_failure(dim):
         split_stack(a, Tolerances())
 
 
+NAN_STACKS = {
+    f"{kind}-m{m}": (group, m)
+    for m in (4, 16)
+    for kind, group in (("real", ortho_group), ("complex", unitary_group))
+}
+
+
+@pytest.mark.parametrize("group, m", NAN_STACKS.values(), ids=NAN_STACKS.keys())
+def test_non_finite_stack_fails_before_lapack(monkeypatch, group, m):
+    def unreachable(*args):
+        raise AssertionError("a non-finite stack reached LAPACK")
+
+    monkeypatch.setattr(csd, "cossin", unreachable)
+    blocks = random_stack(group, m, 3, seed=17)
+    blocks[1, m - 1, 0] = np.nan
+    with pytest.raises(NumericalFailureError):
+        split_stack(blocks, Tolerances())
+
+
+@pytest.mark.parametrize(
+    "group, m",
+    [(ortho_group, 2), (unitary_group, 2), (ortho_group, 4), (unitary_group, 8)],
+    ids=["real-m2", "complex-m2", "real-m4", "complex-m8"],
+)
+def test_chunked_stack_is_bit_identical(monkeypatch, group, m):
+    blocks = random_stack(group, m, 7, seed=18)
+    whole = split_stack(blocks, Tolerances())
+    monkeypatch.setattr(csd, "_CHUNK_ENTRIES", 3 * m * m)  # chunks of 3, 3 and 1 blocks
+    for c, w in zip(split_stack(blocks, Tolerances()), whole):
+        assert np.array_equal(c, w)
+
+
 def test_lapack_failure_is_a_numerical_failure(monkeypatch):
     def failing(names, arrays):
         routine, lwork = get_lapack_funcs(names, arrays)

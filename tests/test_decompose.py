@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
+from csdcirc import decompose
+from csdcirc.csd import split_stack
 from csdcirc.decompose import (
     DecompositionSequence,
     SignDiagonal,
@@ -14,7 +16,8 @@ from csdcirc.decompose import (
 )
 from csdcirc.errors import NotRealDecompositionError, OutOfRangeError
 from csdcirc.gates import Axis, GlobalPhase, PiGate, UniformRotation, circuit_matrix
-from csdcirc.matrices import Tolerances, certify_unitary
+from csdcirc.matrices import Tolerances, certify_unitary, pad_to_power_of_two
+from csdcirc.qwalk import random_graph, walk_unitary
 from paper_data import PAPER_MATRIX_TOL, REAL_8x8
 
 
@@ -113,6 +116,74 @@ def test_recursive_csd_levels_follow_ruler():
     seq = recursive_csd(certify_unitary(u))
     for p, f in enumerate(seq.factors, start=1):
         assert f.level == level_of_position(p, 4)
+
+
+def depth_first_csd(u_op):
+    """Oracle: the depth-first recursion, one split_stack call per tree node.
+
+    Returns ([(level, theta, diagonal), ...] in position order, trailing).
+    """
+
+    def recurse(blocks, level):
+        if blocks.shape[1] == 1:
+            return [], blocks[:, 0, 0].copy()
+        lefts, theta, rights = split_stack(blocks, Tolerances())
+        left_items, left_trailing = recurse(lefts, level + 1)
+        right_items, right_trailing = recurse(rights, level + 1)
+        return [*left_items, (level, theta, left_trailing), *right_items], right_trailing
+
+    work = u_op.as_real() if u_op.is_real else u_op.as_complex()
+    return recurse(work[None], 1)
+
+
+def phases(diag):
+    return np.angle(diag) if np.iscomplexobj(diag) else np.where(diag > 0, 0.0, np.pi)
+
+
+def random_op(group, n):
+    if n == 0:
+        phase = -1.0 if group is ortho_group else np.exp(0.3j)
+        return certify_unitary(np.array([[phase]]))
+    return certify_unitary(group.rvs(1 << n, random_state=n))
+
+
+ORACLE_INPUTS = {
+    **{
+        f"{name}-n{n}": lambda group=group, n=n: random_op(group, n)
+        for n in range(7)
+        for name, group in (("complex", unitary_group), ("real", ortho_group))
+    },
+    # 31 arcs padded to 32: degenerate theta clusters and an identity block
+    "walk": lambda: pad_to_power_of_two(walk_unitary(random_graph(9, 31, seed=2))[0])[0],
+    "padded-dim-11": lambda: pad_to_power_of_two(
+        certify_unitary(unitary_group.rvs(11, random_state=3))
+    )[0],
+}
+
+
+@pytest.mark.parametrize("make", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+def test_level_synchronous_recursion_equals_depth_first(make):
+    op = make()
+    items, trailing = depth_first_csd(op)
+    seq = recursive_csd(op)
+    assert [f.level for f in seq.factors] == [level for level, _, _ in items]
+    for f, (_, theta, diag) in zip(seq.factors, items):
+        assert np.array_equal(f.theta, theta)
+        assert np.array_equal(f.diag_phases, phases(diag))
+    assert np.array_equal(seq.leaf_diagonal.phases, phases(trailing))
+
+
+def test_one_split_stack_call_per_level(monkeypatch):
+    n = 5
+    shapes = []
+
+    def spy(blocks, tol):
+        shapes.append(blocks.shape)
+        return split_stack(blocks, tol)
+
+    monkeypatch.setattr(decompose, "split_stack", spy)
+    recursive_csd(certify_unitary(unitary_group.rvs(1 << n, random_state=8)))
+    assert shapes == [(4 ** (l - 1), 2 ** (n - l + 1), 2 ** (n - l + 1)) for l in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("n,seed", [(1, 1), (2, 2), (3, 3), (4, 4)])

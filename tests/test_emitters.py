@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
@@ -76,6 +78,45 @@ def test_angles_outside_principal_range_are_wrapped():
     gate = UniformRotation(Axis.Z, 1, (), np.array([1.5 * np.pi]))
     text = emit_text(Circuit(1, (gate,)), "display")
     assert text.splitlines()[-1] == " -0.5000"
+
+
+def turns_by_loop(angle: float) -> str:
+    """Oracle: exact-mode turns, wrapped by subtracting 2 one turn at a time."""
+    with localcontext() as ctx:
+        ctx.prec = 25
+        pi = Decimal("3.14159265358979323846264338327950288419716939937511")
+        turns = Decimal(float(angle) + 0.0) / pi
+        while turns > 1:
+            turns -= 2
+        while turns <= -1:
+            turns += 2
+        return str(turns)
+
+
+def test_exact_turns_match_the_subtraction_loop():
+    rng = np.random.default_rng(19)
+    angles = np.concatenate(
+        [
+            [np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 0.0, -0.0, 5e-324, -5e-324],
+            np.pi * np.arange(-3183, 3184, 53),  # odd and even multiples of pi
+            rng.uniform(-20, 20, 300),
+            rng.uniform(-1e4, 1e4, 600),
+        ]
+    )[: 1 << 10]
+    circ = Circuit(11, (UniformRotation(Axis.Z, 1, tuple(range(2, 12)), angles),))
+    tokens = emit_text(circ, "exact").splitlines()[2].split()
+    assert tokens == [turns_by_loop(a) for a in angles]
+
+
+def test_huge_angle_emits_and_round_trips():
+    circ = parse_text("GATEZ\n  1;\n  3e299\n")  # about 9.4e299 rad
+    assert circ.gates[0].angles[0] > 1e299
+    back = parse_text(emit_text(circ, "exact"))
+    # 25 digits of turns hold no fraction of a turn at this size: it wraps to 0
+    assert back.gates[0].angles[0] == 0.0
+    assert parse_text(emit_text(back, "exact")) == back
+    one = Circuit(1, (UniformRotation(Axis.Y, 1, (), [1e300]),))
+    assert parse_text(emit_text(one, "exact")).gates[0].angles[0] == 0.0
 
 
 def test_parse_rejects_bad_keyword():
