@@ -25,7 +25,7 @@ import numpy as np
 
 from .csd import split_stack
 from .errors import NotRealDecompositionError, OutOfRangeError
-from .gates import Axis, Circuit, GlobalPhase, PiGate, UniformRotation, pair_indices
+from .gates import Axis, Circuit, GlobalPhase, PiGate, UniformRotation
 from .matrices import Tolerances, UnitaryOperator, qubit_count
 
 
@@ -136,6 +136,19 @@ def _wrap_angle(a):
     w = np.mod(a + np.pi, 2 * np.pi) - np.pi
     w = np.where(w == -np.pi, np.pi, w)
     return np.where(out_of_range, w, a)
+
+
+def pair_indices(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index pairs coupled by a gate on ``target``.
+
+    Returns (j0, j1) of length 2**(n-1): j0[k] has target bit 0, j1[k] target
+    bit 1, and k reads the remaining bits most-significant-first (qubits
+    1..target-1 then target+1..n), i.e. the package-wide pattern order.
+    """
+    shift = n - target
+    lo = np.arange(1 << (n - 1))
+    j0 = ((lo >> shift) << (shift + 1)) | (lo & ((1 << shift) - 1))
+    return j0, j0 | (1 << shift)
 
 
 def _other_qubits(target: int, n: int) -> tuple[int, ...]:

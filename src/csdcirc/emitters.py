@@ -24,6 +24,7 @@ from .errors import (
     BadQubitIndexError,
     JsonFormatError,
     LengthMismatchError,
+    NonFiniteAngleError,
     TextSyntaxError,
 )
 from .gates import Axis, Circuit, GlobalPhase, PiGate, UniformRotation
@@ -135,6 +136,8 @@ def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
             raise TextSyntaxError("record truncated before the target line", lineno)
         head_no, head = numbered[pos + 1]
         target, controls = _parse_header(head, head_no)
+        if keyword == "GATEPHASE" and controls:
+            raise TextSyntaxError("a GATEPHASE record takes no controls", head_no)
         expected = 1 << len(controls)
         tokens: list[str] = []
         pos += 2
@@ -154,11 +157,11 @@ def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
         gates.append(_build_gate(keyword, target, controls, tokens, last_no))
         gate_lines.append(last_no)
         max_qubit = max(max_qubit, target if keyword != "GATEPHASE" else 0, *controls or (0,))
-    bad = _first_non_finite(gates)
-    if bad is not None:
-        raise TextSyntaxError("angle is NaN or infinite", gate_lines[bad])
     inferred = n_qubits if n_qubits is not None else max_qubit
-    return Circuit(inferred, tuple(gates))
+    try:
+        return Circuit(inferred, tuple(gates))
+    except NonFiniteAngleError as exc:
+        raise TextSyntaxError("angle is NaN or infinite", gate_lines[exc.index]) from exc
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, tuple[int, ...]]:
@@ -189,20 +192,6 @@ def _build_gate(keyword, target, controls, tokens, lineno):
         return UniformRotation(axis, target, controls, angles)
     except (BadQubitIndexError, LengthMismatchError) as exc:
         raise TextSyntaxError(str(exc), lineno) from exc
-
-
-def _first_non_finite(gates) -> int | None:
-    """Index of the first gate whose angles or phase hold NaN or inf, else None.
-
-    One vectorised check per circuit: a check per gate costs both parsers
-    several percent of their time.
-    """
-    values = [
-        g.angles if isinstance(g, UniformRotation) else [getattr(g, "phase", 0.0)] for g in gates
-    ]
-    if not values or np.isfinite(np.concatenate(values)).all():
-        return None
-    return next(i for i, v in enumerate(values) if not np.isfinite(v).all())
 
 
 # --- JSON -------------------------------------------------------------------
@@ -256,10 +245,9 @@ def parse_json(text: str) -> Circuit:
                 gates.append(GlobalPhase(float(spec["phase"])))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
-        bad = _first_non_finite(gates)
-        if bad is not None:
-            raise ValueError(f"gate {bad} has a NaN or infinite angle")
         return Circuit(_index(obj["n_qubits"]), tuple(gates))
+    except NonFiniteAngleError as exc:  # worded like the other malformed values
+        raise JsonFormatError(f"malformed circuit JSON: {ValueError(str(exc))!r}") from exc
     except (TypeError, KeyError, ValueError) as exc:
         raise JsonFormatError(f"malformed circuit JSON: {exc!r}") from exc
 

@@ -43,6 +43,14 @@ class CircuitTooLargeError(CsdcircError):
     pass
 
 
+class NonFiniteAngleError(CsdcircError):
+    """A circuit gate whose angles or phase hold NaN or inf; ``index`` is the gate's position."""
+
+    def __init__(self, index):
+        super().__init__(f"gate {index} has a NaN or infinite angle")
+        self.index = index
+
+
 class LengthMismatchError(CsdcircError):
     pass
 

@@ -7,6 +7,21 @@ Conventions (fixed package-wide):
   * R_y(2t) = [[cos t, sin t], [-sin t, cos t]] and
     R_z(2p) = diag(e^{ip}, e^{-ip}) act on the target-bit pair of every
     pattern; a Pi flag applies diag(1, -1).
+
+Evaluation (``gate_matrix``, ``circuit_matrix``, ``apply_to_state`` and
+``verify``) runs one in-place kernel.  It views the state, a vector or a
+(2**n, k) column stack, as a (2,)*n + (-1,) tensor whose axis q-1 is qubit q,
+and broadcasts each gate's payload against the whole view: reshaped to 2 per
+control, transposed into qubit order, size 1 on every other axis, then
+paired on the target axis (target bit 0, target bit 1).  R_z and Pi are one
+multiply by such a pair; R_y multiplies by cos and adds the sin terms, which
+a flip of the target axis hands from each row to its partner.
+
+Field rule: a circuit is real when it holds no R_z gate and every global
+phase is exactly 0 or +-pi, whose factor cos(phase) is exactly +-1.  A real
+circuit is evaluated in float64: ``circuit_matrix(...).mat`` is float64, and
+so is ``apply_to_state`` on a real input.  Anything else is complex128, and
+there R_y and Pi act on the float64 view of the complex state.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from .errors import (
     BadQubitIndexError,
     CircuitTooLargeError,
     LengthMismatchError,
+    NonFiniteAngleError,
     ShapeMismatchError,
     VerifyFailedError,
 )
@@ -28,6 +44,8 @@ from .matrices import Tolerances, UnitaryOperator, certify_unitary
 DENSE_QUBIT_CAP = 10
 # limit of the sampled check above the dense cap
 SAMPLED_VERIFY_TOL = 1e-8
+# global phases whose factor cos(phase) = +-1 keeps a circuit real
+_REAL_PHASES = (0.0, np.pi)
 
 
 class Axis(Enum):
@@ -113,6 +131,9 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        bad = _first_non_finite(self.gates)
+        if bad is not None:
+            raise NonFiniteAngleError(bad)
         for g in self.gates:
             _check_gate_qubits(g, self.n_qubits)
 
@@ -128,6 +149,20 @@ class Circuit:
         return 1 << self.n_qubits
 
 
+def _first_non_finite(gates) -> int | None:
+    """Index of the first gate whose angles or phase hold NaN or inf, else None.
+
+    One vectorised check per circuit: a check per gate costs the parsers
+    several percent of their time.
+    """
+    values = [
+        g.angles if isinstance(g, UniformRotation) else [getattr(g, "phase", 0.0)] for g in gates
+    ]
+    if not values or np.isfinite(np.concatenate(values)).all():
+        return None
+    return next(i for i, v in enumerate(values) if not np.isfinite(v).all())
+
+
 def _check_gate_qubits(g: Gate, n: int):
     if isinstance(g, GlobalPhase):
         return
@@ -136,70 +171,69 @@ def _check_gate_qubits(g: Gate, n: int):
             raise BadQubitIndexError(f"qubit {q} out of range for {n} qubits")
 
 
-def pair_indices(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs coupled by a gate on ``target``.
-
-    Returns (j0, j1) of length 2**(n-1): j0[k] has target bit 0, j1[k] target
-    bit 1, and k reads the remaining bits most-significant-first (qubits
-    1..target-1 then target+1..n), i.e. the package-wide pattern order.
-    """
-    shift = n - target
-    lo = np.arange(1 << (n - 1))
-    j0 = ((lo >> shift) << (shift + 1)) | (lo & ((1 << shift) - 1))
-    return j0, j0 | (1 << shift)
+def _is_real(gates) -> bool:
+    """No R_z and every global phase 0 or +-pi: the gates keep real states real."""
+    return not any(
+        getattr(g, "axis", None) is Axis.Z or abs(getattr(g, "phase", 0.0)) not in _REAL_PHASES
+        for g in gates
+    )
 
 
-def _pattern_of_rows(rows: np.ndarray, controls: tuple[int, ...], n: int) -> np.ndarray:
-    k = np.zeros_like(rows)
+def _broadcast(payload: np.ndarray, target: int, controls: tuple[int, ...], n: int) -> np.ndarray:
+    """One payload entry per control pattern, shaped against the (2,)*n + (-1,) state view."""
+    shape = [1] * (n + 1)  # the target axis and the column axis stay 1
     for c in controls:
-        k = (k << 1) | ((rows >> (n - c)) & 1)
-    return k
+        shape[c - 1] = 2
+    patterns = payload.reshape((2,) * len(controls))
+    if list(controls) != sorted(controls):
+        patterns = patterns.transpose(np.argsort(controls))
+    return patterns.reshape(shape)
 
 
-def _apply_gate(state: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """Apply one gate to a (2**n,) vector or (2**n, m) stack of columns."""
+def _apply_gate(state: np.ndarray, g: Gate, n: int) -> None:
+    """Apply one gate in place to a C-ordered (2**n,) vector or (2**n, k) stack."""
     if isinstance(g, GlobalPhase):
-        return state * np.exp(1j * g.phase)
-    j0, j1 = pair_indices(n, g.target)
-    k = _pattern_of_rows(j0, g.controls, n)
-    s0, s1 = state[j0], state[j1]
+        state *= np.cos(g.phase) if abs(g.phase) in _REAL_PHASES else np.exp(1j * g.phase)
+        return
+    z = getattr(g, "axis", None) is Axis.Z
+    # R_y and Pi are real: on a complex state they act on its float64 view
+    x = state if z or state.dtype == np.float64 else state.view(np.float64)
+    x = x.reshape((2,) * n + (-1,))
+    axis = g.target - 1
     if isinstance(g, PiGate):
-        f = g.flags[k]
-        if state.ndim == 2:
-            f = f[:, None]
-        state[j1] = np.where(f, -s1, s1)
-        return state
-    a = g.angles[k]
-    if state.ndim == 2:
-        a = a[:, None]
-    if g.axis is Axis.Y:
-        c, s = np.cos(a), np.sin(a)
-        state[j0] = c * s0 + s * s1
-        state[j1] = -s * s0 + c * s1
-    else:
-        e = np.exp(1j * a)
-        state[j0] = e * s0
-        state[j1] = np.conj(e) * s1
-    return state
+        f = _broadcast(g.flags, g.target, g.controls, n)
+        x *= np.concatenate((np.ones(f.shape), np.where(f, -1.0, 1.0)), axis)
+        return
+    a = _broadcast(g.angles, g.target, g.controls, n)
+    if z:
+        x *= np.exp(1j * np.concatenate((a, -a), axis))
+        return
+    # target bit 0 gets c*x0 + s*x1 and bit 1 gets c*x1 - s*x0: w holds the
+    # s terms, and flipping it on the target axis adds each to its partner
+    s = np.sin(a)
+    w = np.concatenate((-s, s), axis) * x
+    x *= np.cos(a)
+    x += np.flip(w, axis)
 
 
 def apply_to_state(circuit: Circuit, psi) -> np.ndarray:
-    """Apply a circuit to a state vector without materializing matrices."""
+    """Apply a circuit to a (2**n,) vector or (2**n, k) stack without materializing matrices.
+
+    The result is float64 for a real circuit on a real input, else complex128.
+    """
     v = np.asarray(psi)
     if v.shape[0] != circuit.dim:
         raise LengthMismatchError(f"state length {v.shape[0]} != 2**{circuit.n_qubits}")
-    v = v.astype(np.complex128)
+    real = _is_real(circuit.gates) and not np.iscomplexobj(v)
+    v = np.array(v, dtype=np.float64 if real else np.complex128, order="C")
     for g in circuit.gates:
-        v = _apply_gate(v, g, circuit.n_qubits)
+        _apply_gate(v, g, circuit.n_qubits)
     return v
 
 
 def gate_matrix(g: Gate, n: int, tol: Tolerances = Tolerances()) -> UnitaryOperator:
     """Dense 2**n matrix of a single gate."""
-    _check_gate_qubits(g, n)
-    m = np.eye(1 << n, dtype=np.complex128)
-    m = _apply_gate(m, g, n)
-    return certify_unitary(m, tol)
+    return certify_unitary(apply_to_state(Circuit(n, (g,)), np.eye(1 << n)), tol)
 
 
 def circuit_matrix(circuit: Circuit, tol: Tolerances = Tolerances()) -> UnitaryOperator:
@@ -209,10 +243,7 @@ def circuit_matrix(circuit: Circuit, tol: Tolerances = Tolerances()) -> UnitaryO
             f"{circuit.n_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}; "
             "use apply_to_state"
         )
-    m = np.eye(circuit.dim, dtype=np.complex128)
-    for g in circuit.gates:
-        m = _apply_gate(m, g, circuit.n_qubits)
-    return certify_unitary(m, tol)
+    return certify_unitary(apply_to_state(circuit, np.eye(circuit.dim)), tol)
 
 
 def verify(
@@ -231,15 +262,14 @@ def verify(
             f"circuit has {circuit.n_qubits} qubits but the matrix needs "
             f"{(op.dim - 1).bit_length()}"
         )
-    target = op.as_complex()
     if circuit.n_qubits <= DENSE_QUBIT_CAP:
-        rebuilt, limit = circuit_matrix(circuit).mat, tol.reconstruct
+        rebuilt, target, limit = circuit_matrix(circuit).mat, op.mat, tol.reconstruct
     else:
         rng = np.random.default_rng(0)
         picks = rng.choice(op.dim, size=min(samples, op.dim), replace=False)
-        batch = np.zeros((op.dim, picks.size), dtype=np.complex128)
+        batch = np.zeros((op.dim, picks.size))
         batch[picks, np.arange(picks.size)] = 1.0
-        rebuilt, target = apply_to_state(circuit, batch), target[:, picks]
+        rebuilt, target = apply_to_state(circuit, batch), op.mat[:, picks]
         limit = SAMPLED_VERIFY_TOL
     residual = float(np.abs(rebuilt - target).max())
     if not residual <= limit:  # a NaN residual fails too

@@ -239,6 +239,14 @@ def test_non_finite_text_angle_is_a_parse_error(tmp_path, keyword, token):
     assert main(["stats", write(tmp_path, "c.txt", text)]) == 2
 
 
+def test_gatephase_with_controls_is_a_parse_error(tmp_path):
+    text = "GATEPHASE\n  1;  5\n  0.5  0.25\n"
+    with pytest.raises(TextSyntaxError) as err:
+        parse_text(text)
+    assert err.value.line == 2
+    assert main(["stats", write(tmp_path, "c.txt", text)]) == 2
+
+
 @pytest.mark.parametrize("obj", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
 def test_malformed_matrix_json_is_a_parse_error(tmp_path, obj):
     text = json.dumps(obj)

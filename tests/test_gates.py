@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from csdcirc import gates
 from csdcirc.decompose import compile_complex, recursive_csd
 from csdcirc.errors import (
     BadQubitIndexError,
     CircuitTooLargeError,
+    CsdcircError,
     LengthMismatchError,
+    NonFiniteAngleError,
     VerifyFailedError,
 )
 from csdcirc.gates import (
@@ -95,6 +100,79 @@ def test_apply_matches_dense_matrix():
         assert np.abs(apply_to_state(circ, psi) - direct).max() < 1e-12
 
 
+def _index_kernel(state: np.ndarray, g, n: int) -> np.ndarray:
+    """Reference: the gather/scatter kernel over explicit row-index pairs."""
+    state = state.astype(np.complex128)
+    shift = n - g.target
+    lo = np.arange(1 << (n - 1))
+    j0 = ((lo >> shift) << (shift + 1)) | (lo & ((1 << shift) - 1))
+    j1 = j0 | (1 << shift)
+    k = np.zeros_like(j0)
+    for c in g.controls:
+        k = (k << 1) | ((j0 >> (n - c)) & 1)
+    rows = (slice(None),) + (None,) * (state.ndim - 1)
+    s0, s1 = state[j0], state[j1]
+    if isinstance(g, PiGate):
+        state[j1] = np.where(g.flags[k][rows], -s1, s1)
+        return state
+    a = g.angles[k][rows]
+    if g.axis is Axis.Y:
+        c, s = np.cos(a), np.sin(a)
+        state[j0] = c * s0 + s * s1
+        state[j1] = -s * s0 + c * s1
+    else:
+        e = np.exp(1j * a)
+        state[j0] = e * s0
+        state[j1] = np.conj(e) * s1
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_broadcast_kernel_matches_the_index_kernel(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(12):
+        target = int(rng.integers(1, n + 1))
+        others = [q for q in range(1, n + 1) if q != target]
+        subset = [q for q in others if rng.random() < 0.6]
+        controls = tuple(int(q) for q in rng.permutation(subset))
+        size = 1 << len(controls)
+        kind = int(rng.integers(0, 3))
+        if kind == 2:
+            g = PiGate(target, controls, rng.integers(0, 2, size).astype(bool))
+        else:
+            g = UniformRotation((Axis.Y, Axis.Z)[kind], target, controls, rng.uniform(-3, 3, size))
+        real = kind != 1
+        for shape in ((1 << n,), (1 << n, 3)):
+            x = rng.normal(size=shape)
+            for psi in (x, x + 1j * rng.normal(size=shape)):
+                out = apply_to_state(Circuit(n, (g,)), psi)
+                assert out.dtype == (np.float64 if real and psi.dtype == np.float64 else complex)
+                # R_y and Pi do the same real arithmetic; a complex product may
+                # round differently in numpy's vectorised and scalar loops
+                tol = 0.0 if real else 2 * np.finfo(float).eps * np.abs(psi).max()
+                assert np.abs(out - _index_kernel(psi, g, n)).max() <= tol
+        m = gate_matrix(g, n).mat
+        assert m.dtype == (np.float64 if real else complex)
+        assert np.array_equal(m, _index_kernel(np.eye(1 << n), g, n))
+
+
+def test_real_circuits_evaluate_in_float64():
+    ry = UniformRotation(Axis.Y, 2, (3, 1), [0.1, 0.2, 0.3, 0.4])
+    pi = PiGate(1, (3,), [True, False])
+    real = Circuit(3, (GlobalPhase(np.pi), ry, pi, GlobalPhase(-np.pi), GlobalPhase(0.0)))
+    with_rz = Circuit(3, (ry, UniformRotation(Axis.Z, 1, (), [0.3])))
+    with_phase = Circuit(3, (ry, GlobalPhase(0.5)))
+    rebuilt = circuit_matrix(real)
+    assert rebuilt.mat.dtype == np.float64 and rebuilt.is_real
+    assert circuit_matrix(with_rz).mat.dtype == np.complex128
+    assert circuit_matrix(with_phase).mat.dtype == np.complex128
+    psi = np.arange(8)
+    assert apply_to_state(real, psi).dtype == np.float64
+    assert apply_to_state(real, psi.astype(complex)).dtype == np.complex128
+    assert apply_to_state(with_rz, psi).dtype == np.complex128
+    assert np.array_equal(apply_to_state(Circuit(3, (GlobalPhase(np.pi),)), psi), -psi)
+
+
 def test_empty_circuit():
     circ = Circuit(3, ())
     assert np.array_equal(circuit_matrix(circ).mat, np.eye(8, dtype=complex))
@@ -132,13 +210,41 @@ def test_verify_dense_path_passes_and_catches_a_perturbation():
         verify(Circuit(3, tuple(gates)), op)
 
 
-def test_verify_sampled_path_above_the_dense_cap():
+def test_verify_sampled_path_above_the_dense_cap(monkeypatch):
     identity = certify_unitary(np.eye(1 << 11))
-    assert verify(Circuit(11, ()), identity) == 0.0
-    for angle in (0.5, np.nan):
-        one_gate = Circuit(11, (UniformRotation(Axis.Y, 1, (), [angle]),))
-        with pytest.raises(VerifyFailedError):
-            verify(one_gate, identity)
+    tracemalloc.start()
+    try:
+        assert verify(Circuit(11, ()), identity) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sampled path reads its 64 columns, it does not copy the operator
+    assert peak < identity.mat.nbytes
+    one_gate = Circuit(11, (UniformRotation(Axis.Y, 1, (), [0.5]),))
+    with pytest.raises(VerifyFailedError):
+        verify(one_gate, identity)
+    monkeypatch.setattr(gates, "apply_to_state", lambda c, batch: np.full(batch.shape, np.nan))
+    with pytest.raises(VerifyFailedError):  # a NaN residual fails too
+        verify(Circuit(11, ()), identity)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        UniformRotation(Axis.Y, 1, (2,), [0.1, np.nan]),
+        UniformRotation(Axis.Y, 2, (), [np.inf]),
+        UniformRotation(Axis.Z, 1, (), [-np.inf]),
+        GlobalPhase(np.inf),
+        GlobalPhase(np.nan),
+    ],
+    ids=["ry-nan", "ry-inf", "rz-minus-inf", "phase-inf", "phase-nan"],
+)
+def test_library_circuit_rejects_non_finite_angles(bad):
+    good = UniformRotation(Axis.Y, 1, (), [0.1])
+    with pytest.raises(NonFiniteAngleError) as err:
+        Circuit(2, (good, GlobalPhase(0.0), bad, good))
+    assert err.value.index == 2
+    assert isinstance(err.value, CsdcircError)
 
 
 def test_gate_validation():
