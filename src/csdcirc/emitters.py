@@ -9,15 +9,31 @@ Text grammar, one record per gate in application order:
 Angle payloads are turn fractions v with 2*theta = 2*pi*v, fixed-point with
 4 decimals in display mode (wrapped 4 per line) or high-precision in exact
 mode; flag payloads are Y/N tokens.  GATEZ and GATEPHASE extend the format
-to the general pipeline, mirroring GATEY/GATEPI syntax.
+to the general pipeline, mirroring GATEY/GATEPI syntax; a GATEPHASE record
+has target 1 and no controls.
+
+Exact mode writes each angle as ``Decimal(angle) / _PI`` rounded half-even
+to 25 significant digits and wrapped into (-1, 1], in ``str(Decimal)``
+notation, and reads a token back as the double nearest to
+``Decimal(token) * _PI``.  Both directions convert a whole circuit in numpy,
+in chunks of ``_CHUNK`` values, with double-double arithmetic (Dekker,
+Numer. Math. 18, 1971).  A value whose rounding lies within the pass's error
+bound of a tie, or that is outside the pass's range (angles above pi or below
+``_EMIT_MIN``, tokens not in the emitter's notation), goes to the per-value
+``Decimal`` code, ``_to_turns_exact`` and ``_from_turns``, which stays the
+reference; so the bytes and angles are always the ``Decimal`` code's.  Exact
+zero is written ``0E+50``, which is what ``Decimal`` makes of ``0 / _PI``.
 """
 
 from __future__ import annotations
 
 import json
-from decimal import Context, Decimal
+import math
+from decimal import Context, Decimal, localcontext
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BadPayloadLengthError,
@@ -76,6 +92,310 @@ def _from_turns(token: str) -> float:
     return float(_PARSE.multiply(Decimal(token), _PI))
 
 
+# --- exact codec, numpy pass ---------------------------------------------------
+#
+# Notation of a nonzero token: 25 digits d1..d25 and a number of decimal
+# places k, turns = d1..d25 * 10**-k.  Decimal writes k <= 30 as fixed
+# "0." + (k - 25) zeros + digits, and k > 30 as "d1.d2..d25E-(k - 24)".
+
+# Values per numpy pass.  It bounds the pass's temporaries, about 250 bytes
+# a value, so that the codec's peak memory stays that of the per-value
+# code on pipeline-sized circuits; larger chunks measured no faster.
+_CHUNK = 1 << 13
+# A circuit with fewer angles, or a text with fewer angle tokens, is
+# converted one value at a time.  Measured on 2-core Xeon: the numpy pass
+# costs about 0.1 ms (emit) and 0.2 ms (parse) plus 0.2-0.4 us per value,
+# against 1.5-2.5 us per value for Decimal; emit plus parse of the
+# small-stream circuits (2 to 4096 angles) is fastest from 64 to 256.
+_VECTOR_MIN = 128
+# Emit range of the pass.  Above pi a value wraps; below _EMIT_MIN its
+# scale factor 10**k would leave the double range (k <= 306 here).
+_EMIT_MIN = 1e-280
+_EMIT_MAX = float(np.pi)
+# The pass computes |angle| * (1/_PI) * 10**k with a relative error below
+# 13 * 2**-106 (Dekker products and sums, each rounding bounded by
+# 2**-53 of the term it rounds, with 1/_PI and 10**k held as two words),
+# so below 1.7e-6 in the 25-digit integer.  A fraction within _EMIT_TIE
+# (six times that) of 1/2 may round either way: Decimal rounds it.
+_EMIT_TIE = 1e-5
+# Parse range: at most this many decimal places, so that _PI * 10**-k and
+# its low word stay normal doubles.
+_PARSE_MAX_PLACES = 290
+# D * (_PI * 10**-k) for an exact 25-digit D has a relative error below
+# 9 * 2**-106.  A result within _PARSE_TIE (relative, seven times that) of
+# the midpoint between two doubles may round either way: Decimal rounds it.
+_PARSE_TIE = 2.0**-100
+_SPLITTER = 134217729.0  # 2**27 + 1
+_PAD = 0
+# A token row: "  ", the sign, the fixed notation's "0." and up to 5
+# zeros, d1, the E notation's ".", d2..d25 (whole uint32 words), the E
+# notation's "E-" and 1 to 3 exponent digits, and a newline slot.
+_ROW = 44
+_D1 = 10
+_D2_WORDS = slice(3, 9)
+# the 4 ASCII digits of 0..9999, one uint32 word each
+_DIGITS4 = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_ZERO_TOKEN = np.frombuffer(b"0E+50", np.uint8)
+# bytes of a token after its sign read by the parse pass: "0." and at most
+# 31 digits, and one byte more to see where a run of digits ends
+_HEAD = 34
+# bytes the parse pass reads to get d1..d25 of a token
+_DIGIT_WINDOW = 32
+
+
+def _row_templates() -> np.ndarray:
+    """Token rows by decimal places, all but the sign and the digits; _PAD elsewhere."""
+    rows = np.zeros((309, _ROW), np.uint8)
+    rows[:, :2] = ord(" ")
+    for places in range(25, 31):
+        rows[places, 3:5] = np.frombuffer(b"0.", np.uint8)
+        rows[places, 5 : places - 20] = ord("0")
+    for places in range(31, 309):
+        expo = np.frombuffer(b"E-" + str(places - 24).encode(), np.uint8)
+        rows[places, _D1 + 1] = ord(".")
+        rows[places, 36 : 36 + expo.size] = expo
+    return rows
+
+
+_TEMPLATES = _row_templates()
+_ZERO_ROW = np.zeros(_ROW, np.uint8)
+_ZERO_ROW[:2] = ord(" ")
+_ZERO_ROW[2 : 2 + _ZERO_TOKEN.size] = _ZERO_TOKEN
+
+
+def _split(a):
+    """a = hi + lo exactly, each with at most 26 significant bits (Veltkamp)."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b, b_hi, b_lo):
+    """p + e = a * b exactly (Dekker); b comes split as b_hi + b_lo."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, e
+
+
+def _fast_two_sum(a, b):
+    """s + e = a + b exactly, for |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view of every run of width bytes in buf, one per start."""
+    return as_strided(buf, (buf.size - width + 1, width), (1, 1), writeable=False)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The numbers that little-endian words of 8 ASCII digits spell (SWAR)."""
+    w = words - np.uint64(0x3030303030303030)
+    w = (w * np.uint64(10 * 256 + 1)) >> np.uint64(8)
+    w = ((w & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 * 2**16 + 1)) >> np.uint64(16)
+    w = ((w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10**4 * 2**32 + 1)) >> np.uint64(32)
+    return w.astype(np.int64)
+
+
+def _dd(value: Decimal) -> tuple[float, float, float, float]:
+    """value as hi + lo, and hi split for _two_prod; needs a precise context."""
+    hi = float(value)
+    mantissa, exponent = math.frexp(hi)
+    m_hi, m_lo = _split(mantissa)  # split the mantissa: hi * _SPLITTER may overflow
+    return hi, float(value - Decimal(hi)), math.ldexp(m_hi, exponent), math.ldexp(m_lo, exponent)
+
+
+def _dd_table(values) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(column) for column in zip(*map(_dd, values)))
+
+
+with localcontext(Context(prec=80)):
+    _INV_PI = _dd(1 / _PI)
+    _POW10 = _dd_table(Decimal(10) ** k for k in range(309))
+    _PI_POW10 = _dd_table(_PI.scaleb(-k) for k in range(_PARSE_MAX_PLACES + 1))
+_E12_SPLIT = _split(1e12)
+
+
+def _turn_digits(mag):
+    """mag / _PI rounded to 25 digits, for 0 < mag <= pi: (hi, lo, places, exact).
+
+    The digits are hi * 10**12 + lo and the turns that integer * 10**-places.
+    exact is False where the pass cannot prove the rounding: a fraction
+    within _EMIT_TIE of 1/2, or a guess of the places from the high word
+    that was one off (a power of ten, or a high word of 1.0 above a quotient
+    below 1), which the integer's digit count shows.  At least 2**53 the
+    scaled quotient's high word is an integer, so the integer part is exact
+    in two int64 halves and the fraction exact in the low word.
+    """
+    ih, il, ih_hi, ih_lo = _INV_PI
+    qh, e = _two_prod(mag, ih, ih_hi, ih_lo)
+    qh, ql = _fast_two_sum(qh, e + mag * il)
+    places = 24 - np.floor(np.log10(qh)).astype(np.int64)
+    th, tl, th_hi, th_lo = (column[places] for column in _POW10)
+    sh, se = _two_prod(qh, th, th_hi, th_lo)
+    sh, sl = _fast_two_sum(sh, se + (qh * tl + ql * th))
+    top = np.floor(sh * 1e-12)
+    p, pe = _two_prod(top, 1e12, *_E12_SPLIT)
+    whole = np.floor(sl)
+    frac = sl - whole
+    rest = ((sh - p) - pe + whole).astype(np.int64) + (frac > 0.5)
+    hi = top.astype(np.int64) + rest // 10**12
+    exact = (np.abs(frac - 0.5) > _EMIT_TIE) & (hi >= 10**12) & (hi < 10**13) & (places > 24)
+    return hi, rest % 10**12, places, exact
+
+
+def _token_rows(angles: np.ndarray) -> np.ndarray:
+    """One row per angle: "  " and its exact-mode token, _PAD-filled to _ROW bytes."""
+    mag = np.abs(angles)
+    fast = (mag >= _EMIT_MIN) & (mag <= _EMIT_MAX)
+    hi, lo, places, exact = _turn_digits(np.where(fast, mag, 1.0))
+    rows = _TEMPLATES[places]
+    rows[:, 2] = np.where(angles < 0, ord("-"), _PAD)
+    lead, top = np.divmod(hi, 10**12)
+    rows[:, _D1] = lead + ord("0")
+    groups = np.empty((angles.size, 6), np.int64)
+    groups[:, 0], rest = np.divmod(top, 10**8)
+    groups[:, 1], groups[:, 2] = np.divmod(rest, 10**4)
+    groups[:, 3], rest = np.divmod(lo, 10**8)
+    groups[:, 4], groups[:, 5] = np.divmod(rest, 10**4)
+    rows.view(np.uint32)[:, _D2_WORDS] = _DIGITS4[groups]
+    rows[mag == 0] = _ZERO_ROW
+    for i in np.flatnonzero(~(fast & exact) & (mag != 0)):
+        token = _to_turns_exact(angles[i]).encode()
+        rows[i, 2:] = _PAD
+        rows[i, 2 : 2 + len(token)] = np.frombuffer(token, np.uint8)
+    return rows
+
+
+def _exact_lines(payloads: list[np.ndarray]) -> list[str]:
+    """The exact-mode payload line of each angle array, in one pass per chunk."""
+    sizes = [p.size for p in payloads]
+    if sum(sizes) < _VECTOR_MIN:
+        return ["  " + "  ".join(_to_turns_exact(a) for a in p) for p in payloads]
+    angles = np.concatenate(payloads)
+    line_ends = np.cumsum(sizes) - 1
+    lines: list[str] = []
+    carry = ""
+    for start in range(0, angles.size, _CHUNK):
+        rows = _token_rows(angles[start : start + _CHUNK])
+        ends = line_ends[np.searchsorted(line_ends, start) : np.searchsorted(line_ends, start + _CHUNK)]
+        rows[ends - start, -1] = ord("\n")
+        flat = rows.ravel()
+        parts = flat[flat != _PAD].tobytes().decode("ascii").split("\n")
+        parts[0] = carry + parts[0]
+        carry = parts.pop()
+        lines += parts
+    return lines
+
+
+def _scan_tokens(tokens: list[str]):
+    """Find the tokens in the emitter's notation: (index, negative, places, digit bytes).
+
+    Takes "0." and 1 to 31 digits of which at most 25 significant,
+    "d.<24 digits>E-<1 to 3 digits>" and "0E+50", each with an optional "-".
+    The digit bytes of a token are 32 bytes that end in d2..d25, with d1 at
+    byte 7 for a fixed token and at byte 6 for an E token.
+    """
+    buf = np.frombuffer(" ".join(tokens).encode(), np.uint8)
+    n = len(tokens)
+    starts = np.zeros(n, np.int64)
+    starts[1:] = np.flatnonzero(buf == ord(" ")) + 1  # split() tokens hold no space
+    ends = np.empty(n, np.int64)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = buf.size
+    negative = buf[starts] == ord("-")
+    starts += negative
+    size = ends - starts
+    padded = np.concatenate([np.zeros(_DIGIT_WINDOW, np.uint8), buf, np.zeros(_HEAD, np.uint8)])
+    del buf
+    head = _windows(padded, _HEAD)[starts + _DIGIT_WINDOW]
+    digit = head - np.uint8(ord("0")) < 10  # other bytes wrap above 9
+    run = np.argmin(digit[:, 2:], axis=1) + 2  # the first byte after the second that is no digit
+    point = head[:, 1] == ord(".")
+    fixed = (head[:, 0] == ord("0")) & point & (run == size) & (size >= 3)
+    # at most 25 significant decimals: those before the last 25 are "0"
+    long = np.flatnonzero(fixed & (size > 27))
+    fixed[long] = np.all((head[long, 2:8] == ord("0")) | (np.arange(2, 8) >= size[long, None] - 25), axis=1)
+    expo = head[:, 28:31].astype(np.int64) - ord("0")
+    expo = np.where(size > 29, expo[:, 0] * 10 + expo[:, 1], expo[:, 0])
+    expo = np.where(size > 30, expo * 10 + head[:, 30] - ord("0"), expo)
+    sci = (
+        digit[:, 0]
+        & point
+        & (run == 26)
+        & (head[:, 26] == ord("E"))
+        & (head[:, 27] == ord("-"))
+        & (size >= 29)
+        & (size <= 31)
+        & digit[:, 28]
+        & ((size < 30) | digit[:, 29])
+        & ((size < 31) | digit[:, 30])
+    )
+    del digit
+    places = np.where(fixed, size - 2, np.where(sci, 24 + expo, 0))
+    zero = size == _ZERO_TOKEN.size
+    zero[zero] = np.all(head[zero, : _ZERO_TOKEN.size] == _ZERO_TOKEN, axis=1)
+    del head
+    fixed |= zero  # read as the token "00000", whose value is 0 as well
+    idx = np.flatnonzero((fixed | sci) & (places <= _PARSE_MAX_PLACES))
+    in_sci = sci[idx]
+    digits = _windows(padded, _DIGIT_WINDOW)[np.where(in_sci, starts[idx] + _DIGIT_WINDOW - 6, ends[idx])]
+    short = np.flatnonzero(size[idx] < 27)  # bytes before the decimals count as "0"
+    digits[short] = np.where(np.arange(_DIGIT_WINDOW) < 34 - size[idx[short], None], ord("0"), digits[short])
+    digits[zero[idx]] = ord("0")
+    digits[in_sci, 7] = digits[in_sci, 6]  # d1 at byte 7 for both
+    return idx, negative[idx], places[idx], digits
+
+
+def _fast_turns(tokens: list[str], out: np.ndarray) -> np.ndarray:
+    """Convert the tokens in the emitter's notation into out; returns which it did."""
+    idx, negative, places, digits = _scan_tokens(tokens)
+    a, b, c = _eight_digits(digits.view("<u8")[:, 1:]).T
+    first = digits[:, 7].astype(np.int64) - ord("0")
+    del digits
+    top = (first * 10**12 + a * 10**4 + b // 10**4).astype(np.float64)
+    lo = (b % 10**4 * 10**8 + c).astype(np.float64)
+    p, e = _two_prod(top, 1e12, *_E12_SPLIT)
+    s = p + lo  # two-sum: s + t = p + lo
+    back = s - p
+    t = (p - (s - back)) + (lo - back)
+    dh, dl = _fast_two_sum(s, t + e)  # the digits' integer, exactly: t and e are integers below 2**31
+    ch, cl, ch_hi, ch_lo = (column[places] for column in _PI_POW10)
+    vh, ve = _two_prod(dh, ch, ch_hi, ch_lo)
+    vh, vl = _fast_two_sum(vh, ve + (dh * cl + dl * ch))
+    gap = np.abs(np.nextafter(vh, np.copysign(np.inf, vl)) - vh)
+    near = (vh != 0) & (np.abs(np.abs(vl) - gap / 2) <= _PARSE_TIE * np.abs(vh))
+    out[idx] = np.where(negative, -vh, vh)
+    converted = np.zeros(len(tokens), bool)
+    converted[idx[~near]] = True
+    return converted
+
+
+def _parse_turns(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of exact- or display-mode tokens, and which tokens are not numbers."""
+    values = np.empty(len(tokens))
+    bad = np.zeros(len(tokens), bool)
+    rest = range(len(tokens))
+    if len(tokens) >= _VECTOR_MIN:
+        converted = np.concatenate(
+            [
+                _fast_turns(tokens[start : start + _CHUNK], values[start : start + _CHUNK])
+                for start in range(0, len(tokens), _CHUNK)
+            ]
+        )
+        rest = np.flatnonzero(~converted)
+    for i in rest:
+        try:
+            values[i] = _from_turns(tokens[i])
+        except ArithmeticError:
+            bad[i] = True
+    return values, bad
+
+
+# --- text records ----------------------------------------------------------------
+
 _KEYWORDS = {"GATEY", "GATEZ", "GATEPI", "GATEPHASE"}
 
 
@@ -86,82 +406,135 @@ def _record_header(keyword: str, target: int, controls: tuple[int, ...]) -> list
     return [keyword, head]
 
 
-def _angle_payload(angles, mode: str) -> list[str]:
-    if mode == "display":
-        turns = [round(_to_turns(a), 4) + 0.0 for a in angles]  # +0.0 drops -0.0
-        lines = []
-        for start in range(0, len(turns), _DISPLAY_WRAP):
-            chunk = turns[start : start + _DISPLAY_WRAP]
-            lines.append("".join(f"{v:8.4f}" for v in chunk))
-        return lines
-    return ["  " + "  ".join(_to_turns_exact(a) for a in angles)]
+def _display_payload(angles) -> list[str]:
+    turns = [round(_to_turns(a), 4) + 0.0 for a in angles]  # +0.0 drops -0.0
+    lines = []
+    for start in range(0, len(turns), _DISPLAY_WRAP):
+        chunk = turns[start : start + _DISPLAY_WRAP]
+        lines.append("".join(f"{v:8.4f}" for v in chunk))
+    return lines
 
 
 def emit_text(circuit: Circuit, mode: str = "display") -> str:
     """Serialize a circuit; ``mode`` is ``display`` (4 decimals) or ``exact``."""
     if mode not in ("display", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact":
+        exact = iter(
+            _exact_lines(
+                [
+                    g.angles if isinstance(g, UniformRotation) else np.array([g.phase], np.float64)
+                    for g in circuit.gates
+                    if not isinstance(g, PiGate)
+                ]
+            )
+        )
     lines: list[str] = []
     for g in circuit.gates:
+        if isinstance(g, PiGate):
+            lines += _record_header("GATEPI", g.target, g.controls)
+            lines.append("".join("  Y" if f else "  N" for f in g.flags))
+            continue
         if isinstance(g, UniformRotation):
             keyword = "GATEY" if g.axis is Axis.Y else "GATEZ"
             lines += _record_header(keyword, g.target, g.controls)
-            lines += _angle_payload(g.angles, mode)
-        elif isinstance(g, PiGate):
-            lines += _record_header("GATEPI", g.target, g.controls)
-            lines.append("".join("  Y" if f else "  N" for f in g.flags))
+            angles = g.angles
         else:
             lines += _record_header("GATEPHASE", 1, ())
-            lines += _angle_payload([g.phase], mode)
-    return "\n".join(lines) + "\n" if lines else ""
+            angles = [g.phase]
+        if mode == "exact":
+            lines.append(next(exact))
+        else:
+            lines += _display_payload(angles)
+    if lines:
+        lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
+
+
+class _Record(NamedTuple):
+    keyword: str
+    target: int
+    controls: tuple[int, ...]
+    tokens: list[str]
+    line: int  # of the payload's last line
 
 
 def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
     """Parse the text format back into a circuit.
 
-    The qubit count is inferred from the largest index seen unless given.
+    The qubit count is inferred from the largest index seen, a GATEPHASE
+    record counting as qubit 1, unless given.  Records are checked in
+    order and their angle tokens converted in numpy passes of at most _CHUNK
+    tokens; an error is raised at the first record that has one, as if each
+    record were built before the next is read.
     """
-    numbered = [
-        (i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()
-    ]
-    pos = 0
     gates: list = []
     gate_lines: list[int] = []
+    pending: list[_Record] = []
+    queued = 0
     max_qubit = 0
-    while pos < len(numbered):
-        lineno, keyword = numbered[pos]
-        if keyword not in _KEYWORDS:
-            raise TextSyntaxError(f"expected a gate keyword, got {keyword!r}", lineno)
-        if pos + 1 >= len(numbered):
-            raise TextSyntaxError("record truncated before the target line", lineno)
-        head_no, head = numbered[pos + 1]
-        target, controls = _parse_header(head, head_no)
-        if keyword == "GATEPHASE" and controls:
-            raise TextSyntaxError("a GATEPHASE record takes no controls", head_no)
-        expected = 1 << len(controls)
-        tokens: list[str] = []
-        pos += 2
-        last_no = head_no
-        while len(tokens) < expected:
-            if pos >= len(numbered) or numbered[pos][1].split()[0] in _KEYWORDS:
-                raise BadPayloadLengthError(
-                    f"payload has {len(tokens)} values, expected {expected}", last_no
-                )
-            last_no, line = numbered[pos]
-            tokens.extend(line.split())
-            pos += 1
-        if len(tokens) != expected:
-            raise BadPayloadLengthError(
-                f"payload has {len(tokens)} values, expected {expected}", last_no
-            )
-        gates.append(_build_gate(keyword, target, controls, tokens, last_no))
-        gate_lines.append(last_no)
-        max_qubit = max(max_qubit, target if keyword != "GATEPHASE" else 0, *controls or (0,))
+    records = _records(text.splitlines())
+    while True:
+        try:
+            record = next(records, None)
+        except TextSyntaxError:
+            _build_gates(pending, gates, gate_lines)  # an earlier record's error comes first
+            raise
+        if record is None or queued + len(record.tokens) > _CHUNK:
+            _build_gates(pending, gates, gate_lines)
+            queued = 0
+        if record is None:
+            break
+        pending.append(record)
+        queued += len(record.tokens)
+        max_qubit = max(max_qubit, record.target, *record.controls)
     inferred = n_qubits if n_qubits is not None else max_qubit
     try:
         return Circuit(inferred, tuple(gates))
     except NonFiniteAngleError as exc:
         raise TextSyntaxError("angle is NaN or infinite", gate_lines[exc.index]) from exc
+
+
+def _records(lines: list[str]):
+    """The records of the text in order; raises at the first malformed one."""
+    count = len(lines)
+
+    def skip_blank(i: int) -> int:
+        while i < count and (not lines[i] or lines[i].isspace()):
+            i += 1
+        return i
+
+    i = skip_blank(0)
+    while i < count:
+        keyword = lines[i].strip()
+        if keyword not in _KEYWORDS:
+            raise TextSyntaxError(f"expected a gate keyword, got {keyword!r}", i + 1)
+        j = skip_blank(i + 1)
+        if j >= count:
+            raise TextSyntaxError("record truncated before the target line", i + 1)
+        target, controls = _parse_header(lines[j].strip(), j + 1)
+        if keyword == "GATEPHASE" and controls:
+            raise TextSyntaxError("a GATEPHASE record takes no controls", j + 1)
+        if keyword == "GATEPHASE" and target != 1:
+            raise TextSyntaxError(f"a GATEPHASE record has target 1, got {target}", j + 1)
+        expected = 1 << len(controls)
+        tokens: list[str] = []
+        last_no = j + 1
+        i = skip_blank(j + 1)
+        while len(tokens) < expected:
+            parts = lines[i].split() if i < count else None
+            if not parts or parts[0] in _KEYWORDS:
+                raise BadPayloadLengthError(
+                    f"payload has {len(tokens)} values, expected {expected}", last_no
+                )
+            tokens += parts
+            last_no = i + 1
+            i = skip_blank(i + 1)
+        if len(tokens) != expected:
+            raise BadPayloadLengthError(
+                f"payload has {len(tokens)} values, expected {expected}", last_no
+            )
+        yield _Record(keyword, target, controls, tokens, last_no)
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, tuple[int, ...]]:
@@ -176,51 +549,80 @@ def _parse_header(line: str, lineno: int) -> tuple[int, tuple[int, ...]]:
     return target, controls
 
 
-def _build_gate(keyword, target, controls, tokens, lineno):
+def _build_gates(records: list[_Record], gates: list, gate_lines: list[int]):
+    """Build the records' gates in order, after one conversion of all their angle tokens."""
+    values, bad = _parse_turns([t for r in records if r.keyword != "GATEPI" for t in r.tokens])
+    start = 0
+    for r in records:
+        if r.keyword == "GATEPI":
+            gates.append(_build_gate(r, None))
+            gate_lines.append(r.line)
+            continue
+        stop = start + len(r.tokens)
+        if bad[start:stop].any():
+            raise TextSyntaxError(f"bad numeric payload {r.tokens}", r.line)
+        gates.append(_build_gate(r, values[start:stop]))
+        gate_lines.append(r.line)
+        start = stop
+    records.clear()
+
+
+def _build_gate(r: _Record, angles):
     try:
-        if keyword == "GATEPI":
-            if any(tok not in ("Y", "N") for tok in tokens):
-                raise TextSyntaxError(f"flags must be Y or N, got {tokens}", lineno)
-            return PiGate(target, controls, np.array([tok == "Y" for tok in tokens]))
-        try:
-            angles = np.array([_from_turns(tok) for tok in tokens])
-        except ArithmeticError as exc:
-            raise TextSyntaxError(f"bad numeric payload {tokens}", lineno) from exc
-        if keyword == "GATEPHASE":
+        if r.keyword == "GATEPI":
+            if any(tok not in ("Y", "N") for tok in r.tokens):
+                raise TextSyntaxError(f"flags must be Y or N, got {r.tokens}", r.line)
+            return PiGate(r.target, r.controls, np.array([tok == "Y" for tok in r.tokens]))
+        if r.keyword == "GATEPHASE":
             return GlobalPhase(float(angles[0]))
-        axis = Axis.Y if keyword == "GATEY" else Axis.Z
-        return UniformRotation(axis, target, controls, angles)
+        axis = Axis.Y if r.keyword == "GATEY" else Axis.Z
+        return UniformRotation(axis, r.target, r.controls, angles)
     except (BadQubitIndexError, LengthMismatchError) as exc:
-        raise TextSyntaxError(str(exc), lineno) from exc
+        raise TextSyntaxError(str(exc), r.line) from exc
 
 
 # --- JSON -------------------------------------------------------------------
 
 
-def emit_json(circuit: Circuit) -> str:
-    gates = []
-    for g in circuit.gates:
+def _json_list(items, indent: str) -> str:
+    """A list as json.dumps(..., indent=2) writes it at this item indent."""
+    if not items:
+        return "[]"
+    return "[\n" + indent + f",\n{indent}".join(items) + "\n" + indent[:-2] + "]"
+
+
+def _json_int(value) -> str:
+    """A qubit index or count as json.dumps writes it (a bool as true or false)."""
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _json_gate(g) -> str:
+    if isinstance(g, GlobalPhase):
+        fields = ['"kind": "phase"', f'"phase": {float(g.phase)!r}']
+    else:
         if isinstance(g, UniformRotation):
-            gates.append(
-                {
-                    "kind": "ry" if g.axis is Axis.Y else "rz",
-                    "target": g.target,
-                    "controls": list(g.controls),
-                    "angles": [float(a) for a in g.angles],
-                }
-            )
-        elif isinstance(g, PiGate):
-            gates.append(
-                {
-                    "kind": "pi",
-                    "target": g.target,
-                    "controls": list(g.controls),
-                    "flags": "".join("Y" if f else "N" for f in g.flags),
-                }
-            )
+            kind = "ry" if g.axis is Axis.Y else "rz"
+            payload = '"angles": ' + _json_list(list(map(repr, g.angles.tolist())), " " * 8)
         else:
-            gates.append({"kind": "phase", "phase": float(g.phase)})
-    return json.dumps({"n_qubits": circuit.n_qubits, "gates": gates}, indent=2)
+            kind = "pi"
+            payload = '"flags": "' + "".join("Y" if f else "N" for f in g.flags) + '"'
+        fields = [
+            f'"kind": "{kind}"',
+            '"target": ' + _json_int(g.target),
+            '"controls": ' + _json_list([str(c) for c in g.controls], " " * 8),
+            payload,
+        ]
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
+
+
+def emit_json(circuit: Circuit) -> str:
+    """The circuit as JSON, in the bytes json.dumps(..., indent=2) writes for it.
+
+    Built as one string: json.dumps with an indent runs the pure-Python
+    encoder, which spends most of its time on the angle lists.
+    """
+    gates = _json_list([_json_gate(g) for g in circuit.gates], " " * 4)
+    return '{\n  "n_qubits": ' + _json_int(circuit.n_qubits) + ',\n  "gates": ' + gates + "\n}"
 
 
 def parse_json(text: str) -> Circuit:

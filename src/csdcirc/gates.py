@@ -36,6 +36,7 @@ from .errors import (
     CircuitTooLargeError,
     LengthMismatchError,
     NonFiniteAngleError,
+    OutOfRangeError,
     ShapeMismatchError,
     VerifyFailedError,
 )
@@ -255,8 +256,11 @@ def verify(
     ``tol.reconstruct``.  Beyond it, ``samples`` basis columns picked by a
     generator seeded with 0 go through apply_to_state and the limit is
     SAMPLED_VERIFY_TOL.  Returns the max-abs residual and raises
-    VerifyFailedError when it is above the limit or NaN.
+    VerifyFailedError when it is above the limit or NaN, and OutOfRangeError
+    when ``samples`` is below 1.
     """
+    if samples < 1:
+        raise OutOfRangeError(f"verify needs at least 1 sample, got {samples}")
     if circuit.dim != op.dim:
         raise ShapeMismatchError(
             f"circuit has {circuit.n_qubits} qubits but the matrix needs "

@@ -2,12 +2,14 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The slowest items are the
 round-trip property sweep (criterion 1) and the 12-qubit walk compilation
-(criterion 6).
+(criterion 6); they carry the `slow` marker, so `pytest -m "not slow"` skips
+them.
 """
 
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import ortho_group, unitary_group
 
 from csdcirc.decompose import (
@@ -40,6 +42,7 @@ def report(criterion: int, message: str):
     print(f"\nACCEPTANCE {criterion} PASS — {message}")
 
 
+@pytest.mark.slow
 def test_criterion_1_round_trip_reconstruction():
     """200 random unitaries and 200 random orthogonals per n = 1..6, <= 1e-9."""
     t0 = time.time()
@@ -176,6 +179,7 @@ def test_criterion_5_star_graph_circuit_sparsity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_scalability_12_qubits():
     t0 = time.time()
     graph = random_graph(100, 4011, seed=7)

@@ -247,6 +247,15 @@ def test_gatephase_with_controls_is_a_parse_error(tmp_path):
     assert main(["stats", write(tmp_path, "c.txt", text)]) == 2
 
 
+@pytest.mark.parametrize("target", [7, 0, 2])
+def test_gatephase_target_other_than_one_is_a_parse_error(tmp_path, target):
+    text = f"GATEY\n  1;\n  0.25\nGATEPHASE\n  {target};\n  0.5\n"
+    with pytest.raises(TextSyntaxError) as err:
+        parse_text(text)
+    assert err.value.line == 5
+    assert main(["stats", write(tmp_path, "c.txt", text)]) == 2
+
+
 @pytest.mark.parametrize("obj", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
 def test_malformed_matrix_json_is_a_parse_error(tmp_path, obj):
     text = json.dumps(obj)

@@ -1,9 +1,17 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
+from csdcirc import emitters
 from csdcirc.decompose import compile_complex, compile_real, recursive_csd
 from csdcirc.emitters import emit_json, emit_latex, emit_text, parse_json, parse_text
 from csdcirc.errors import BadPayloadLengthError, TextSyntaxError
@@ -15,8 +23,18 @@ from csdcirc.gates import (
     UniformRotation,
     count_subgates,
 )
-from csdcirc.matrices import certify_unitary
-from paper_data import REAL_8x8_RECORDS, SQUARE_RECORDS, STAR_RECORDS, records_to_circuit
+from csdcirc.matrices import certify_unitary, pad_to_power_of_two
+from csdcirc.qwalk import parse_graph, random_graph, walk_unitary
+from paper_data import (
+    REAL_8x8_RECORDS,
+    SQUARE_GRAPH_TEXT,
+    SQUARE_RECORDS,
+    STAR_GRAPH_TEXT,
+    STAR_RECORDS,
+    records_to_circuit,
+)
+
+HERE = Path(__file__).resolve().parent
 
 
 def test_emit_pi_record():
@@ -144,6 +162,12 @@ def test_parse_infers_qubit_count():
     assert circ.n_qubits == 6
 
 
+def test_phase_only_circuit_keeps_one_qubit():
+    circ = Circuit(1, (GlobalPhase(0.5),))
+    assert parse_text(emit_text(circ, "exact")) == circ
+    assert parse_json(emit_json(circ)) == circ
+
+
 def test_json_round_trip_bit_identical():
     u = unitary_group.rvs(8, random_state=5)
     circ = compile_complex(recursive_csd(certify_unitary(u)))
@@ -155,6 +179,42 @@ def test_json_global_phase_value():
     text = emit_json(circ)
     assert parse_json(text) == circ
     assert repr(np.pi)[:17] in text
+
+
+def json_dumps_reference(circuit) -> str:
+    """emit_json as json.dumps(..., indent=2) of the gate dicts."""
+    gates = []
+    for g in circuit.gates:
+        if isinstance(g, UniformRotation):
+            kind, payload = "ry" if g.axis is Axis.Y else "rz", ("angles", [float(a) for a in g.angles])
+        elif isinstance(g, PiGate):
+            kind, payload = "pi", ("flags", "".join("Y" if f else "N" for f in g.flags))
+        else:
+            gates.append({"kind": "phase", "phase": float(g.phase)})
+            continue
+        gates.append({"kind": kind, "target": g.target, "controls": list(g.controls), payload[0]: payload[1]})
+    return json.dumps({"n_qubits": circuit.n_qubits, "gates": gates}, indent=2)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        Circuit(3, ()),
+        Circuit(0, (GlobalPhase(-0.0),)),
+        Circuit(
+            3,
+            (
+                UniformRotation(Axis.Y, 1, (), [-0.0]),
+                UniformRotation(Axis.Z, True, (3, 2), [5e-324, 1e300, -1e-5, 0.1]),
+                PiGate(3, (1,), [True, False]),
+                GlobalPhase(np.pi),
+            ),
+        ),
+    ],
+    ids=["empty", "phase-only", "mixed"],
+)
+def test_emit_json_writes_the_bytes_of_json_dumps(circuit):
+    assert emit_json(circuit) == json_dumps_reference(circuit)
 
 
 def test_latex_single_rotation():
@@ -224,3 +284,302 @@ def expected_text(records):
 def test_published_records_round_trip_through_display_mode(records, n):
     circ = records_to_circuit(records, n)
     assert emit_text(circ, "display") == expected_text(records)
+
+
+# --- byte identity of the exact codec -------------------------------------------
+
+
+def golden_circuits() -> dict:
+    """The benchmark's walk-n8, haar-n7 and first small-stream round at seed 0
+    (pipebench/bench.py make_inputs), and the criterion-4/5 walk circuits."""
+    stream = np.random.default_rng(0)
+    return {
+        "walk-n8": [compile_pipeline(walk_unitary(random_graph(28, 251, seed=0))[0])],
+        "haar-n7": [
+            compile_pipeline(
+                certify_unitary(unitary_group.rvs(128, random_state=np.random.default_rng(0)))
+            )
+        ],
+        "small-stream": [
+            compile_pipeline(certify_unitary(group.rvs(1 << n, random_state=stream)))
+            for n in range(1, 7)
+            for group in (unitary_group, ortho_group)
+        ],
+        "square-walk": [compile_pipeline(walk_unitary(parse_graph(SQUARE_GRAPH_TEXT))[0])],
+        "star-walk": [compile_pipeline(walk_unitary(parse_graph(STAR_GRAPH_TEXT))[0])],
+    }
+
+
+def compile_pipeline(op):
+    padded, _ = pad_to_power_of_two(op)
+    seq = recursive_csd(padded)
+    return compile_real(seq) if padded.is_real else compile_complex(seq)
+
+
+def digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+# sha256 of emit_text(c, "exact") and of emit_json(c), over each input's
+# circuits in order, as the per-value Decimal codec and json.dumps(indent=2)
+# wrote them.  The circuits are compiled with one BLAS thread, as the
+# benchmark compiles them: LAPACK's last bits depend on the thread count.
+GOLDEN_SHA256 = {
+    "walk-n8": (
+        "eed40fd67a0e64ec791c9c5eabeed0783826d9f899911e11a58e9f10708860ed",
+        "c35269364a9c58c1088528d7fbfbc2b1aa3c5635e3224c4ab7cb6064dba88e73",
+    ),
+    "haar-n7": (
+        "ac5d10c2f55edbc503f4bc15e641c5bc48463c24e1452bf511a60a17c995a9ea",
+        "c1547e7f0923801c95fb697e58a76bd95fafdfb9aa057fbddaf8bd9cceb144a7",
+    ),
+    "small-stream": (
+        "4845e5e5a02f7c15bc9bc109b99693833c2da3def9cbf1683c2e65317ecbf695",
+        "ec72ca8516d61f27df73585d5c84cc732596a463804e72c194a7221fedd844e1",
+    ),
+    "square-walk": (
+        "ab7d7376dc269f232ef14c04d88ac8acffaf87795d0ca4222785b3f1ad481188",
+        "8edb8916ffdc52f926c952c00c41197c7a0a1297233e8dc8c94351b1dad327f3",
+    ),
+    "star-walk": (
+        "41e8b32b90246f9ab73ed34960ed3758bac8ad7c99738d6a5659781d9db87917",
+        "22cf6e07ef91a81c873c8d63a53da35c33c53740b2c7359c33f998b22023014c",
+    ),
+}
+
+
+def golden_digests() -> dict:
+    return {
+        name: [digest(emit_text(c, "exact") for c in circuits), digest(emit_json(c) for c in circuits)]
+        for name, circuits in golden_circuits().items()
+    }
+
+
+def test_exact_text_and_json_bytes_are_pinned():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(HERE.parent / "src"), env.get("PYTHONPATH")]))
+    script = "import json, test_emitters; print(json.dumps(test_emitters.golden_digests()))"
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=HERE, env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(run.stdout) == {name: list(pair) for name, pair in GOLDEN_SHA256.items()}
+
+
+def test_golden_circuits_round_trip():
+    for circuits in golden_circuits().values():
+        for c in circuits:
+            assert parse_text(emit_text(c, "exact"), c.n_qubits) == c
+            assert parse_json(emit_json(c)) == c
+
+
+# --- the numpy codec against the per-value Decimal code ------------------------
+
+# |angle| / _PI scaled to 25 digits lies within 2e-6 of a rounding tie
+# (inside the numpy pass's error window, so Decimal rounds them) for the
+# first list, and 1e-5 to 3e-5 from one for the second: found by a search
+# over 10**8 random doubles
+NEAR_TIES = [
+    "0x1.4294e7543c257p-380", "0x1.1f3c272657258p-613", "0x1.77330a2e3b426p+1",
+    "0x1.c47a5c3f3e4c0p-573", "0x1.542a089dd8b5cp+0", "0x1.076a687e921b4p-489",
+    "0x1.4a5913adaefe0p-401", "0x1.ca5499398e120p-4", "0x1.a5427d62e6940p-3",
+    "0x1.e2ba49fd3992bp-496", "0x1.934f322df363cp+0", "0x1.fe8f5d8d292c0p-1",
+    "0x1.06f3796f20292p+0", "0x1.45ae2f38101dcp-205", "0x1.61521759c9468p-396",
+    "0x1.03126b8e43ce8p-161", "0x1.4e64ac57f3166p+1", "0x1.8dcc92e90ff80p-1",
+    "0x1.a5b25084ca6f5p+0", "0x1.6c4da3d30be08p+1", "0x1.ef643c7f2fb70p-2",
+    "0x1.8ecafe3b10df1p+1", "0x1.8d538030cf52ep-245", "0x1.a0de687bb0fb0p-3",
+    "0x1.32e44900a872ap+1", "0x1.3bc3d61fd36d3p+1", "0x1.f8eccf5d16668p-585",
+    "0x1.e3020d34f1510p-605", "0x1.354280ff47850p+1", "0x1.26136dbce83c0p-48",
+    "0x1.94df0931cb6aep-17", "0x1.dc17b38986480p-6", "0x1.661e6e85cc904p-1",
+    "0x1.62bc56d50edbap+1", "0x1.8a01e5e886b5cp-1", "0x1.86d0e1784b188p-1",
+    "0x1.8d7b15fac1708p-300", "0x1.397045ab79184p+0", "0x1.4ff1d5fbf73aep+1",
+    "0x1.b34f15cb58a77p-30",
+]
+NEAR_TIES_OUTSIDE = [
+    "0x1.2e94cc080aa35p-462", "0x1.d341dc116b40ep-598", "0x1.05cc904d6e6b8p+1",
+    "0x1.6c325a6fc6964p+0", "0x1.bd4b4995f100cp-476", "0x1.b6ee836b5954dp-377",
+    "0x1.504207e3069cep-550", "0x1.2be4fc2b15eebp+1", "0x1.45b0a04e33ce0p-3",
+    "0x1.0d78ffd8f8ae2p-209", "0x1.d46de442435bdp-480", "0x1.602747cffe0aap+1",
+    "0x1.71201fcb89692p+1", "0x1.12cf44485fb28p-38", "0x1.232fb4ecf8120p+0",
+    "0x1.ff6387827ce90p-1", "0x1.ffc3d0d767a20p-9", "0x1.19b7d371efaa5p-565",
+    "0x1.1352ba67ce0c8p+1", "0x1.9b258b8d8ffb8p-2",
+]
+
+
+# token * _PI lies within 1e-22 ulp of the midpoint between two doubles in
+# [1, 2), inside the parse pass's error window; built from the continued
+# fraction of _PI * 2**52 / 10**25
+NEAR_MIDPOINTS = [
+    "0.4785852484755544378763258",
+    "0.4656113121202672346774071",
+    "0.3893786657243353719516642",
+    "0.4666948668851232891511160",
+    "0.4915591848308416410752445",
+    "0.3655979025434730745012446",
+    "0.3774882841339042232264544",
+    "0.4975043756260572154378494",
+    "0.4529010842504476824755186",
+    "0.4926427395956976955489534",
+    "0.4939900028460214010196925",
+    "0.4715565029154828090400120",
+    "0.3515404114233298168286170",
+    "0.4020888935941549241535527",
+    "0.4504702662352679225310706",
+    "0.3904622204891914264253731",
+]
+
+
+def tie_distance(angle: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 90
+        turns = Decimal(abs(angle)) / emitters._PI
+        return abs(turns.scaleb(24 - turns.adjusted()) % 1 - Decimal("0.5"))
+
+
+def test_near_ties_are_near_ties():
+    assert max(tie_distance(float.fromhex(h)) for h in NEAR_TIES) < Decimal("2e-6")
+    assert all(Decimal("1e-5") < tie_distance(float.fromhex(h)) < Decimal("3e-5") for h in NEAR_TIES_OUTSIDE)
+
+
+@pytest.fixture(scope="module")
+def oracle_angles() -> np.ndarray:
+    """Over 10**6 angles: uniform, log-uniform down to 1e-300, pi-rational
+    multiples (many wrap), sub-1e-6 turns, huge unwrapped angles, quotients
+    next to powers of ten, edge cases and near-ties, each with both signs."""
+    rng = np.random.default_rng(2024)
+    pi = np.pi
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tens = np.array([float(emitters._PI.scaleb(-j)) for j in range(300)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, 4)])
+    edges = [0.0, pi, np.nextafter(pi, 4), np.nextafter(pi, 0), 2 * pi, 5e-324, 2.2250738585072014e-308]
+    edges += [emitters._EMIT_MIN, np.nextafter(emitters._EMIT_MIN, 0), 1e-300, 1e300, 1.7976931348623157e308]
+    ties = [float.fromhex(h) for h in NEAR_TIES + NEAR_TIES_OUTSIDE]
+    magnitudes = np.concatenate(
+        [
+            rng.uniform(0, pi, 480_000),
+            np.exp(rng.uniform(np.log(1e-300), np.log(pi), 400_000)),
+            pi * rng.integers(0, 721, 50_000) / rng.integers(1, 721, 50_000),
+            rng.uniform(0, pi * 1e-6, 50_000),
+            10.0 ** rng.uniform(0.5, 300, 20_000),
+            np.repeat(tens[tens <= 4], 4),
+            np.repeat(edges + ties, 8),
+        ]
+    )
+    return magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)
+
+
+@pytest.fixture(scope="module")
+def oracle_tokens(oracle_angles) -> list[str]:
+    return [emitters._to_turns_exact(a) for a in oracle_angles]
+
+
+def test_numpy_emit_matches_the_decimal_code(oracle_angles, oracle_tokens):
+    assert oracle_angles.size > 10**6
+    cuts = np.cumsum(np.random.default_rng(5).integers(1, 5000, oracle_angles.size // 1000))
+    cuts = cuts[cuts < oracle_angles.size]
+    lines = emitters._exact_lines(np.split(oracle_angles, cuts))
+    want = ["  " + "  ".join(oracle_tokens[a:b]) for a, b in zip([0, *cuts], [*cuts, oracle_angles.size])]
+    assert len(lines) == len(want)
+    bad = [(got, line) for got, line in zip(lines, want) if got != line]
+    assert not bad, bad[0]
+
+
+def near_midpoint_tokens(count: int) -> list[str]:
+    """Tokens whose value times _PI lies next to the midpoint of two doubles."""
+    rng = np.random.default_rng(6)
+    x = np.abs(np.concatenate([rng.uniform(-np.pi, np.pi, count // 2), np.exp(rng.uniform(-600, 1, count // 2))]))
+    tokens = []
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for lo, hi in zip(x, np.nextafter(x, 4)):
+            tokens.append(str(emitters._EMIT.divide((Decimal(lo) + Decimal(hi)) / 2, emitters._PI)))
+    return tokens
+
+
+def test_near_midpoint_tokens_go_to_decimal():
+    pi = Fraction(emitters._PI)
+    for token in NEAR_MIDPOINTS:
+        scaled = Fraction(token) * pi * 2**52
+        assert 2**52 <= scaled < 2**53
+        assert abs(scaled % 1 - Fraction(1, 2)) < Fraction(1, 10**22)
+    tokens = (NEAR_MIDPOINTS + ["-" + t for t in NEAR_MIDPOINTS]) * 8
+    assert not emitters._fast_turns(tokens, np.empty(len(tokens))).any()
+    values, bad = emitters._parse_turns(tokens)
+    assert not bad.any()
+    assert values.tolist() == [emitters._from_turns(t) for t in tokens]
+
+
+def test_numpy_parse_matches_the_decimal_code(oracle_angles, oracle_tokens):
+    rng = np.random.default_rng(7)
+    digits = "".join(map(str, rng.integers(0, 10, 31 * 20_000)))
+    forms = [f"0.{digits[31 * i : 31 * i + 1 + i % 31]}" for i in range(20_000)]
+    forms += [f"{digits[i]}.{digits[i + 1 : i + 25]}E-{i % 320}" for i in range(20_000)]
+    odd = ["0E+50", "-0E+50", "0.0000", "-0.0000", "1.0000", "0.5", "0.", "-", "abc", "1e-5"]
+    odd += ["3e299", "nan", "-inf", "sNaN", "0.\u0663", "\u0663", "0E+5", "0.0000000000000000000000000000001"]
+    odd += [f"1.{'0' * 24}E-{e}" for e in ("12x", "1234", "0012", "", "+5")]
+    tokens = oracle_tokens + [f"{round(emitters._to_turns(a), 4) + 0.0:.4f}" for a in oracle_angles[:100_000]]
+    tokens += near_midpoint_tokens(100_000) + forms + odd * 50
+    assert len(tokens) > 10**6
+    for start in range(0, len(tokens), emitters._CHUNK):
+        chunk = tokens[start : start + emitters._CHUNK]
+        values, bad = emitters._parse_turns(chunk)
+        want = np.zeros(len(chunk))
+        want_bad = np.zeros(len(chunk), bool)
+        for i, token in enumerate(chunk):
+            try:
+                want[i] = emitters._from_turns(token)
+            except ArithmeticError:
+                want_bad[i] = True
+        same = (values.view(np.int64) == want.view(np.int64)) & (bad == want_bad) | want_bad & bad
+        assert same.all(), chunk[np.argmin(same)]
+
+
+def test_exact_round_trip_across_chunks():
+    rng = np.random.default_rng(8)
+    gates = []
+    for k in range(260):
+        angles = rng.uniform(-np.pi, np.pi, 512) * (rng.random(512) < 0.9)
+        gates.append(UniformRotation(Axis.Y if k % 2 else Axis.Z, 1, tuple(range(2, 11)), angles))
+        gates.append(PiGate(2, (1,), [k % 2 == 0, True]))
+    circ = Circuit(10, tuple(gates) + (GlobalPhase(-0.25),))
+    text = emit_text(circ, "exact")
+    assert parse_text(text) == circ
+    assert emit_text(parse_text(text), "exact") == text
+
+
+BIG_RECORD = "GATEY\n  1;" + "".join(f"{c:3d}," for c in range(2, 18)) + " 18\n" + "  0.1" * (1 << 17)
+
+
+@pytest.mark.parametrize(
+    "text,error,line",
+    [
+        ("GATEY\n  1;\n  abc\nGATEQ\n  1;\n  0.5\n", TextSyntaxError, 3),
+        ("GATEY\n  1;  1\n  0.5  0.5\nGATEY\n  1;\n  abc\n", TextSyntaxError, 3),
+        ("GATEPI\n  1;\n  Q\nGATEY\n  1;\n  abc\n", TextSyntaxError, 3),
+        ("GATEY\n  1;\n  nan\nGATEY\n  1;\n  abc\n", TextSyntaxError, 6),
+        ("GATEY\n  1;\n  nan\nGATEY\n  1;\n  0.5\n", TextSyntaxError, 3),
+        ("GATEY\n  1;\n  0.5\nGATEY\n  2;  1\n  0.5\n", BadPayloadLengthError, 6),
+        (BIG_RECORD[:-5] + "  abc\nGATEQ\n", TextSyntaxError, 3),
+        (BIG_RECORD + "\nGATEY\n  1;\n  abc\nGATEY\n  1;\n", TextSyntaxError, 6),
+        (BIG_RECORD + "\nGATEY\n  1;\n  0.5\nGATEY\n  1;\n", BadPayloadLengthError, 8),
+    ],
+    ids=[
+        "bad-token-then-bad-keyword",
+        "bad-qubits-then-bad-token",
+        "bad-flag-then-bad-token",
+        "nan-then-bad-token",
+        "nan",
+        "short-payload",
+        "big-record-with-bad-token-then-bad-keyword",
+        "big-record-then-bad-token-then-truncated",
+        "big-record-then-truncated",
+    ],
+)
+def test_first_bad_record_is_reported(text, error, line):
+    with pytest.raises(error) as err:
+        parse_text(text)
+    assert type(err.value) is error
+    assert err.value.line == line

@@ -12,6 +12,7 @@ from csdcirc.errors import (
     CsdcircError,
     LengthMismatchError,
     NonFiniteAngleError,
+    OutOfRangeError,
     VerifyFailedError,
 )
 from csdcirc.gates import (
@@ -226,6 +227,14 @@ def test_verify_sampled_path_above_the_dense_cap(monkeypatch):
     monkeypatch.setattr(gates, "apply_to_state", lambda c, batch: np.full(batch.shape, np.nan))
     with pytest.raises(VerifyFailedError):  # a NaN residual fails too
         verify(Circuit(11, ()), identity)
+
+
+@pytest.mark.parametrize("n", [2, 11], ids=["dense", "sampled"])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_needs_a_sample(n, samples):
+    identity = certify_unitary(np.eye(1 << n))
+    with pytest.raises(OutOfRangeError):
+        verify(Circuit(n, ()), identity, samples=samples)
 
 
 @pytest.mark.parametrize(
