@@ -2,14 +2,11 @@
 
 from .decompose import (
     DecompositionSequence,
-    LeafDiagonal,
     SequenceFactor,
-    SignDiagonal,
     compile_complex,
     compile_real,
     factor_phase_diagonal,
     factor_sign_diagonal,
-    level_of_position,
     recursive_csd,
 )
 from .emitters import emit_json, emit_latex, emit_text, parse_json, parse_text
@@ -22,17 +19,10 @@ from .gates import (
     apply_to_state,
     circuit_matrix,
     count_subgates,
-    gate_matrix,
     verify,
 )
-from .matrices import (
-    Tolerances,
-    UnitaryOperator,
-    certify_unitary,
-    max_abs_diff,
-    pad_to_power_of_two,
-)
-from .qwalk import ArcBasis, Graph, grover_coin, parse_graph, random_graph, walk_unitary
+from .matrices import Tolerances, UnitaryOperator, certify_unitary, pad_to_power_of_two
+from .qwalk import ArcBasis, Graph, parse_graph, random_graph, walk_unitary
 
 __all__ = [
     "ArcBasis",
@@ -41,10 +31,8 @@ __all__ = [
     "DecompositionSequence",
     "GlobalPhase",
     "Graph",
-    "LeafDiagonal",
     "PiGate",
     "SequenceFactor",
-    "SignDiagonal",
     "Tolerances",
     "UniformRotation",
     "UnitaryOperator",
@@ -59,10 +47,6 @@ __all__ = [
     "emit_text",
     "factor_phase_diagonal",
     "factor_sign_diagonal",
-    "gate_matrix",
-    "grover_coin",
-    "level_of_position",
-    "max_abs_diff",
     "pad_to_power_of_two",
     "parse_graph",
     "parse_json",

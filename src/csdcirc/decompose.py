@@ -15,6 +15,11 @@ diagonal into Pi gates.
 The recursion is level-synchronous: it walks the CSD tree breadth-first and
 splits every block of a level in one ``split_stack`` call, n calls in all
 instead of one per tree node, then reads the factors off in position order.
+
+The index pairs across qubit l are the two halves of a (2**(l-1), 2, -1)
+reshape of a length-2**n vector: ``[:, 0]`` holds target bit 0, ``[:, 1]``
+target bit 1, and their row-major order is the package-wide pattern order
+(qubits 1..l-1, then l+1..n, most significant first).
 """
 
 from __future__ import annotations
@@ -24,35 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csd import split_stack
-from .errors import NotRealDecompositionError, OutOfRangeError
+from .errors import NotRealDecompositionError
 from .gates import Axis, Circuit, GlobalPhase, PiGate, UniformRotation
 from .matrices import Tolerances, UnitaryOperator, qubit_count
-
-
-@dataclass(frozen=True)
-class LeafDiagonal:
-    """Phases (radians) of a diagonal factor; entries are exp(i*phase)."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.phases, dtype=np.float64)
-        p.setflags(write=False)
-        object.__setattr__(self, "phases", p)
-
-
-@dataclass(frozen=True)
-class SignDiagonal:
-    """A +-1 diagonal, stored as the signs themselves."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.signs, dtype=np.float64)
-        if not np.all(np.abs(s) == 1.0):
-            raise ValueError("sign diagonal entries must be exactly +-1")
-        s.setflags(write=False)
-        object.__setattr__(self, "signs", s)
 
 
 @dataclass(frozen=True)
@@ -66,17 +45,12 @@ class SequenceFactor:
 
 @dataclass(frozen=True)
 class DecompositionSequence:
+    """The factors in position order; leaf_phases are the trailing diagonal's phases."""
+
     n: int
     factors: tuple[SequenceFactor, ...]
-    leaf_diagonal: LeafDiagonal
+    leaf_phases: np.ndarray
     is_real: bool
-
-
-def level_of_position(p: int, n: int) -> int:
-    """Recursion level owning position p: n minus p's trailing zero bits."""
-    if not 1 <= p <= (1 << n) - 1:
-        raise OutOfRangeError(f"position {p} outside 1..{(1 << n) - 1}")
-    return n - ((p & -p).bit_length() - 1)
 
 
 def recursive_csd(u_op: UnitaryOperator, tol: Tolerances = Tolerances()) -> DecompositionSequence:
@@ -87,8 +61,8 @@ def recursive_csd(u_op: UnitaryOperator, tol: Tolerances = Tolerances()) -> Deco
     level in order, each node's 2**(l-1) blocks contiguous.  Node j's lefts
     and then its rights become nodes 2j and 2j+1 of the next level, so after
     n levels the stack is the 2**n leaf diagonals in order.  Position p sits
-    at level l = level_of_position(p, n) as node p >> (n-l+1); its diagonal
-    is leaf p-1, and leaf 2**n-1 is the trailing diagonal.
+    at level l = n - (trailing zero bits of p) as node p >> (n-l+1); its
+    diagonal is leaf p-1, and leaf 2**n-1 is the trailing diagonal.
     """
     n = qubit_count(u_op.dim)
     blocks = (u_op.as_real() if u_op.is_real else u_op.as_complex())[None]
@@ -107,13 +81,13 @@ def recursive_csd(u_op: UnitaryOperator, tol: Tolerances = Tolerances()) -> Deco
     leaves = _phases_of(blocks.reshape(1 << n, 1 << n))
     factors = []
     for p in range(1, 1 << n):
-        level = level_of_position(p, n)
+        level = n - ((p & -p).bit_length() - 1)
         theta = thetas[level - 1][p >> (n - level + 1)]
         factors.append(SequenceFactor(level=level, theta=theta, diag_phases=leaves[p - 1]))
     return DecompositionSequence(
         n=n,
         factors=tuple(factors),
-        leaf_diagonal=LeafDiagonal(leaves[-1]),
+        leaf_phases=leaves[-1],
         is_real=u_op.is_real,
     )
 
@@ -138,19 +112,6 @@ def _wrap_angle(a):
     return np.where(out_of_range, w, a)
 
 
-def pair_indices(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-index pairs coupled by a gate on ``target``.
-
-    Returns (j0, j1) of length 2**(n-1): j0[k] has target bit 0, j1[k] target
-    bit 1, and k reads the remaining bits most-significant-first (qubits
-    1..target-1 then target+1..n), i.e. the package-wide pattern order.
-    """
-    shift = n - target
-    lo = np.arange(1 << (n - 1))
-    j0 = ((lo >> shift) << (shift + 1)) | (lo & ((1 << shift) - 1))
-    return j0, j0 | (1 << shift)
-
-
 def _other_qubits(target: int, n: int) -> tuple[int, ...]:
     return tuple(q for q in range(1, n + 1) if q != target)
 
@@ -158,27 +119,22 @@ def _other_qubits(target: int, n: int) -> tuple[int, ...]:
 def compile_complex(seq: DecompositionSequence) -> Circuit:
     """Map a decomposition to the general pipeline: R_y/R_z pairs + diagonal cascade."""
     n = seq.n
-    if n == 0:
-        return Circuit(0, (GlobalPhase(float(_wrap_angle(seq.leaf_diagonal.phases[0]))),))
-    dim = 1 << n
-    carried = np.zeros(dim)  # phases of the diagonal pushed right so far
+    carried = np.zeros(1 << n)  # phases of the diagonal pushed right so far
     pairs_in_matrix_order = []
     for factor in seq.factors:
-        j0, j1 = pair_indices(n, factor.level)
-        alpha = factor.diag_phases - carried
-        a0, a1 = alpha[j0], alpha[j1]
+        alpha = (factor.diag_phases - carried).reshape(1 << (factor.level - 1), 2, -1)
+        a0, a1 = alpha[:, 0], alpha[:, 1]
         controls = _other_qubits(factor.level, n)
+        half_diff = _wrap_angle((a0 - a1).ravel() / 2)
         pairs_in_matrix_order.append(
             (
                 UniformRotation(Axis.Y, factor.level, controls, factor.theta),
-                UniformRotation(Axis.Z, factor.level, controls, _wrap_angle((a0 - a1) / 2)),
+                UniformRotation(Axis.Z, factor.level, controls, half_diff),
             )
         )
-        pair_phase = -(a0 + a1) / 2
-        carried = np.empty(dim)
-        carried[j0] = pair_phase
-        carried[j1] = pair_phase
-    global_phase, cascade = factor_phase_diagonal(seq.leaf_diagonal.phases - carried)
+        half_sum = -(a0 + a1) / 2
+        carried = np.concatenate((half_sum, half_sum), axis=1).ravel()
+    global_phase, cascade = factor_phase_diagonal(seq.leaf_phases - carried)
     gates = [GlobalPhase(global_phase), *cascade]
     for gate_a, gate_b in reversed(pairs_in_matrix_order):
         gates.append(gate_a)
@@ -189,26 +145,23 @@ def compile_complex(seq: DecompositionSequence) -> Circuit:
 def compile_real(seq: DecompositionSequence, tol: Tolerances = Tolerances()) -> Circuit:
     """Map a real decomposition to R_y gates with sign flips + Pi-gate cascade."""
     n = seq.n
-    all_phases = [f.diag_phases for f in seq.factors] + [seq.leaf_diagonal.phases]
+    all_phases = [f.diag_phases for f in seq.factors] + [seq.leaf_phases]
     worst = max(float(np.abs(np.sin(p)).max()) for p in all_phases)
     if worst > tol.real:
         raise NotRealDecompositionError(
             f"diagonal phase off {{0, pi}} by |sin| = {worst:.3e} (> {tol.real:.3e})"
         )
-    if n == 0:
-        negative = np.cos(seq.leaf_diagonal.phases[0]) < 0
-        return Circuit(0, (GlobalPhase(np.pi),) if negative else ())
     signs = np.ones(1 << n)
     rotations_in_matrix_order = []
     for factor in seq.factors:
         signs = signs * _signs_from_phases(factor.diag_phases)
-        j0, j1 = pair_indices(n, factor.level)
-        angles = np.where(signs[j0] * signs[j1] < 0, -factor.theta, factor.theta)
+        halves = signs.reshape(1 << (factor.level - 1), 2, -1)
+        angles = np.where((halves[:, 0] != halves[:, 1]).ravel(), -factor.theta, factor.theta)
         rotations_in_matrix_order.append(
             UniformRotation(Axis.Y, factor.level, _other_qubits(factor.level, n), angles)
         )
-    signs = signs * _signs_from_phases(seq.leaf_diagonal.phases)
-    global_sign, pi_gates = factor_sign_diagonal(SignDiagonal(signs), n)
+    signs = signs * _signs_from_phases(seq.leaf_phases)
+    global_sign, pi_gates = factor_sign_diagonal(signs)
     gates: list = [GlobalPhase(np.pi)] if global_sign < 0 else []
     gates.extend(pi_gates)
     gates.extend(reversed(rotations_in_matrix_order))
@@ -219,16 +172,17 @@ def _signs_from_phases(phases: np.ndarray) -> np.ndarray:
     return np.where(np.cos(phases) > 0, 1.0, -1.0)
 
 
-def factor_sign_diagonal(d: SignDiagonal, n: int) -> tuple[int, list[PiGate]]:
-    """Factor a +-1 diagonal into a global sign and one Pi gate per target.
+def factor_sign_diagonal(signs) -> tuple[int, list[PiGate]]:
+    """Factor a +-1 diagonal of length 2**n into a global sign and one Pi gate per target.
 
     Greedy by target: the flag for pattern c is set when the running residual
     is -1 at index (c, 1, 0...0); each set flag flips every index under it.
     The triangular flip structure drives the residual to all +1.
     """
-    signs = d.signs
-    if signs.size != 1 << n:
-        raise ValueError(f"sign diagonal of length {signs.size} does not match n={n}")
+    signs = np.asarray(signs, dtype=np.float64)
+    if not np.all(np.abs(signs) == 1.0):
+        raise ValueError("sign diagonal entries must be exactly +-1")
+    n = qubit_count(signs.size)
     global_sign = int(signs[0])
     residual = signs * global_sign
     pi_gates = []

@@ -591,11 +591,6 @@ def _json_list(items, indent: str) -> str:
     return "[\n" + indent + f",\n{indent}".join(items) + "\n" + indent[:-2] + "]"
 
 
-def _json_int(value) -> str:
-    """A qubit index or count as json.dumps writes it (a bool as true or false)."""
-    return str(value) if type(value) is int else json.dumps(value)
-
-
 def _json_gate(g) -> str:
     if isinstance(g, GlobalPhase):
         fields = ['"kind": "phase"', f'"phase": {float(g.phase)!r}']
@@ -608,7 +603,7 @@ def _json_gate(g) -> str:
             payload = '"flags": "' + "".join("Y" if f else "N" for f in g.flags) + '"'
         fields = [
             f'"kind": "{kind}"',
-            '"target": ' + _json_int(g.target),
+            f'"target": {g.target}',
             '"controls": ' + _json_list([str(c) for c in g.controls], " " * 8),
             payload,
         ]
@@ -622,7 +617,7 @@ def emit_json(circuit: Circuit) -> str:
     encoder, which spends most of its time on the angle lists.
     """
     gates = _json_list([_json_gate(g) for g in circuit.gates], " " * 4)
-    return '{\n  "n_qubits": ' + _json_int(circuit.n_qubits) + ',\n  "gates": ' + gates + "\n}"
+    return f'{{\n  "n_qubits": {circuit.n_qubits},\n  "gates": ' + gates + "\n}"
 
 
 def parse_json(text: str) -> Circuit:

@@ -8,14 +8,14 @@ Conventions (fixed package-wide):
     R_z(2p) = diag(e^{ip}, e^{-ip}) act on the target-bit pair of every
     pattern; a Pi flag applies diag(1, -1).
 
-Evaluation (``gate_matrix``, ``circuit_matrix``, ``apply_to_state`` and
-``verify``) runs one in-place kernel.  It views the state, a vector or a
-(2**n, k) column stack, as a (2,)*n + (-1,) tensor whose axis q-1 is qubit q,
-and broadcasts each gate's payload against the whole view: reshaped to 2 per
-control, transposed into qubit order, size 1 on every other axis, then
-paired on the target axis (target bit 0, target bit 1).  R_z and Pi are one
-multiply by such a pair; R_y multiplies by cos and adds the sin terms, which
-a flip of the target axis hands from each row to its partner.
+Evaluation (``circuit_matrix``, ``apply_to_state`` and ``verify``) runs one
+in-place kernel.  It views the state, a vector or a (2**n, k) column stack,
+as a (2,)*n + (-1,) tensor whose axis q-1 is qubit q, and broadcasts each
+gate's payload against the whole view: reshaped to 2 per control, transposed
+into qubit order, size 1 on every other axis, then paired on the target axis
+(target bit 0, target bit 1).  R_z and Pi are one multiply by such a pair;
+R_y multiplies by cos and adds the sin terms, which a flip of the target
+axis hands from each row to its partner.
 
 Field rule: a circuit is real when it holds no R_z gate and every global
 phase is exactly 0 or +-pi, whose factor cos(phase) is exactly +-1.  A real
@@ -26,6 +26,7 @@ there R_y and Pi act on the float64 view of the complex state.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -62,6 +63,16 @@ def _frozen_array(a, dtype) -> np.ndarray:
     return arr
 
 
+def _qubit_index(value) -> int:
+    """A qubit index or count as a plain int; a bool or a non-integer raises."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadQubitIndexError(f"qubit index or count {value!r} is not an integer")
+
+
 def _check_payload(target: int, controls: tuple[int, ...], n_payload: int):
     if target in controls:
         raise BadQubitIndexError(f"target {target} listed among controls {controls}")
@@ -81,7 +92,8 @@ class UniformRotation:
     angles: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
+        object.__setattr__(self, "target", _qubit_index(self.target))
+        object.__setattr__(self, "controls", tuple(map(_qubit_index, self.controls)))
         object.__setattr__(self, "angles", _frozen_array(self.angles, np.float64))
         _check_payload(self.target, self.controls, self.angles.size)
 
@@ -102,7 +114,8 @@ class PiGate:
     flags: np.ndarray = field(repr=False)  # bool, True == Y
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
+        object.__setattr__(self, "target", _qubit_index(self.target))
+        object.__setattr__(self, "controls", tuple(map(_qubit_index, self.controls)))
         object.__setattr__(self, "flags", _frozen_array(self.flags, bool))
         _check_payload(self.target, self.controls, self.flags.size)
 
@@ -131,6 +144,10 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        n = _qubit_index(self.n_qubits)
+        if n < 0:
+            raise BadQubitIndexError(f"qubit count {n} is negative")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", tuple(self.gates))
         bad = _first_non_finite(self.gates)
         if bad is not None:
@@ -230,11 +247,6 @@ def apply_to_state(circuit: Circuit, psi) -> np.ndarray:
     for g in circuit.gates:
         _apply_gate(v, g, circuit.n_qubits)
     return v
-
-
-def gate_matrix(g: Gate, n: int, tol: Tolerances = Tolerances()) -> UnitaryOperator:
-    """Dense 2**n matrix of a single gate."""
-    return certify_unitary(apply_to_state(Circuit(n, (g,)), np.eye(1 << n)), tol)
 
 
 def circuit_matrix(circuit: Circuit, tol: Tolerances = Tolerances()) -> UnitaryOperator:

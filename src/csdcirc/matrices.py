@@ -1,4 +1,4 @@
-"""Dense matrix foundation: unitarity certification, padding, norms, file formats.
+"""Dense matrix foundation: unitarity certification, padding, file formats.
 
 A matrix is a plain 2-D numpy array (float64 or complex128).  A certified
 matrix is wrapped in :class:`UnitaryOperator`, which downstream modules accept
@@ -8,12 +8,11 @@ as proof of unitarity.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JsonFormatError, NotSquareError, NotUnitaryError, ShapeMismatchError
+from .errors import JsonFormatError, NotSquareError, NotUnitaryError
 
 
 @dataclass(frozen=True)
@@ -108,17 +107,6 @@ def pad_to_power_of_two(u: UnitaryOperator) -> tuple[UnitaryOperator, int]:
     return padded, n
 
 
-def max_abs_diff(a, b) -> float:
-    """Largest entrywise |a_ij - b_ij|."""
-    am = a.mat if isinstance(a, UnitaryOperator) else np.asarray(a)
-    bm = b.mat if isinstance(b, UnitaryOperator) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise ShapeMismatchError(f"shape {am.shape} vs {bm.shape}")
-    if am.size == 0:
-        return 0.0
-    return float(np.abs(am - bm).max())
-
-
 # --- matrix file formats ----------------------------------------------------
 #
 # Text: line 1 holds the dimension d, then d rows of d whitespace-separated
@@ -163,16 +151,6 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return out
 
 
-def format_matrix_json(m) -> str:
-    if isinstance(m, UnitaryOperator):
-        a, real = m.mat, m.is_real
-    else:
-        a = _as_matrix(m)
-        real = not (np.iscomplexobj(a) and np.abs(a.imag).max(initial=0.0) != 0.0)
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
-    return json.dumps({"dim": a.shape[0], "real": bool(real), "entries": entries})
-
-
 def parse_matrix_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
@@ -201,9 +179,7 @@ def load_matrix(path: str) -> np.ndarray:
 
 def qubit_count(dim: int) -> int:
     """log2 of a power-of-two dimension."""
-    n = int(math.log2(dim)) if dim > 0 else 0
-    while (1 << n) < dim:
-        n += 1
-    if (1 << n) != dim:
+    n = dim.bit_length() - 1
+    if n < 0 or (1 << n) != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n

@@ -50,23 +50,11 @@ class ArcBasis:
     def size(self) -> int:
         return len(self.arcs)
 
-    def index(self, arc: tuple[int, int]) -> int:
-        return self.arcs.index(arc)
-
 
 def arc_basis(g: Graph) -> ArcBasis:
     """Directed arcs ordered by source then destination; self-loops appear once."""
     src, dst = np.nonzero(g.adjacency)
     return ArcBasis(tuple(zip(src + 1, dst + 1)))
-
-
-def grover_coin(d: int, tol: Tolerances = Tolerances()) -> UnitaryOperator:
-    """The d x d reflection with 2/d off the diagonal and 2/d - 1 on it."""
-    if d < 1:
-        raise ValueError("coin dimension must be positive")
-    m = np.full((d, d), 2.0 / d)
-    m[np.diag_indices(d)] -= 1.0
-    return certify_unitary(m, tol)
 
 
 def walk_unitary(g: Graph, tol: Tolerances = Tolerances()) -> tuple[UnitaryOperator, ArcBasis]:
@@ -121,19 +109,7 @@ def parse_graph(text: str) -> Graph:
         if len(row) != n:
             raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
         adj[i] = [bool(int(tok)) for tok in row]
-    if not np.array_equal(adj, adj.T):
-        raise AsymmetricAdjacencyError("dense adjacency matrix is not symmetric")
     return Graph(adj)
-
-
-def format_graph_edges(g: Graph) -> str:
-    lines = [str(g.node_count)]
-    adj = g.adjacency
-    for i in range(g.node_count):
-        for j in range(i, g.node_count):
-            if adj[i, j]:
-                lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
 
 
 def random_graph(nodes: int, arcs: int, seed: int = 0) -> Graph:

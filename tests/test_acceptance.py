@@ -13,7 +13,6 @@ import pytest
 from scipy.stats import ortho_group, unitary_group
 
 from csdcirc.decompose import (
-    SignDiagonal,
     compile_complex,
     compile_real,
     factor_phase_diagonal,
@@ -22,7 +21,7 @@ from csdcirc.decompose import (
 )
 from csdcirc.emitters import emit_text
 from csdcirc.gates import PiGate, UniformRotation, circuit_matrix, count_subgates, verify
-from csdcirc.matrices import Tolerances, certify_unitary, max_abs_diff, pad_to_power_of_two
+from csdcirc.matrices import Tolerances, certify_unitary, pad_to_power_of_two
 from csdcirc.qwalk import parse_graph, random_graph, walk_unitary
 from paper_data import (
     COMPLEX_8x8,
@@ -52,10 +51,10 @@ def test_criterion_1_round_trip_reconstruction():
         for k in range(200):
             u = unitary_group.rvs(dim, random_state=10_000 * n + k)
             circ = compile_complex(recursive_csd(certify_unitary(u)))
-            worst_complex = max(worst_complex, max_abs_diff(circuit_matrix(circ), u))
+            worst_complex = max(worst_complex, np.abs(circuit_matrix(circ).mat - u).max())
             o = ortho_group.rvs(dim, random_state=20_000 * n + k)
             circ = compile_real(recursive_csd(certify_unitary(o)))
-            worst_real = max(worst_real, max_abs_diff(circuit_matrix(circ), o))
+            worst_real = max(worst_real, np.abs(circuit_matrix(circ).mat - o).max())
     elapsed = time.time() - t0
     assert worst_complex <= 1e-9
     assert worst_real <= 1e-9
@@ -117,7 +116,7 @@ def test_criterion_3_walk_operators_match_published_matrices():
     square, _ = walk_unitary(parse_graph(SQUARE_GRAPH_TEXT))
     assert np.array_equal(square.mat, SQUARE_WALK)
     star, _ = walk_unitary(parse_graph(STAR_GRAPH_TEXT))
-    diff = max_abs_diff(star.mat, star_walk_matrix())
+    diff = np.abs(star.mat - star_walk_matrix()).max()
     assert diff <= 1e-12
     report(3, f"square walk bit-exact; star walk within {diff:.1e}")
 
@@ -125,7 +124,7 @@ def test_criterion_3_walk_operators_match_published_matrices():
 def test_criterion_4_square_graph_circuit_structure():
     op, _ = walk_unitary(parse_graph(SQUARE_GRAPH_TEXT))
     circ = compile_real(recursive_csd(op))
-    resid = max_abs_diff(circuit_matrix(circ), op.mat)
+    resid = np.abs(circuit_matrix(circ).mat - op.mat).max()
     counts = count_subgates(circ)
     rotations = [g for g in circ.gates if isinstance(g, UniformRotation)]
     for g in rotations:
@@ -159,7 +158,7 @@ def test_criterion_4_square_graph_circuit_structure():
 def test_criterion_5_star_graph_circuit_sparsity():
     op, _ = walk_unitary(parse_graph(STAR_GRAPH_TEXT))
     circ = compile_real(recursive_csd(op))
-    resid = max_abs_diff(circuit_matrix(circ), op.mat)
+    resid = np.abs(circuit_matrix(circ).mat - op.mat).max()
     assert resid <= 1e-10
     counts = count_subgates(circ)
     assert _structural(counts) <= 48
@@ -240,7 +239,7 @@ def test_criterion_7_diagonal_factorization_oracles():
                 pos += length
                 wanted.append(flags)
                 diag = diag * _pi_gate_diag(PiGate(m, tuple(range(1, m)), flags), n)
-            g, gates = factor_sign_diagonal(SignDiagonal(diag), n)
+            g, gates = factor_sign_diagonal(diag)
             assert g == 1
             for want, gate in zip(wanted, gates):
                 assert np.array_equal(gate.flags, want)
@@ -251,7 +250,7 @@ def test_criterion_7_diagonal_factorization_oracles():
     for n in range(4, 9):
         for _ in range(2000):
             signs = rng.choice([-1.0, 1.0], size=1 << n)
-            g, gates = factor_sign_diagonal(SignDiagonal(signs), n)
+            g, gates = factor_sign_diagonal(signs)
             rebuilt = np.full(1 << n, float(g))
             for gate in gates:
                 rebuilt = rebuilt * _pi_gate_diag(gate, n)

@@ -6,15 +6,13 @@ from csdcirc import decompose
 from csdcirc.csd import split_stack
 from csdcirc.decompose import (
     DecompositionSequence,
-    SignDiagonal,
     compile_complex,
     compile_real,
     factor_phase_diagonal,
     factor_sign_diagonal,
-    level_of_position,
     recursive_csd,
 )
-from csdcirc.errors import NotRealDecompositionError, OutOfRangeError
+from csdcirc.errors import NotRealDecompositionError
 from csdcirc.gates import Axis, GlobalPhase, PiGate, UniformRotation, circuit_matrix
 from csdcirc.matrices import Tolerances, certify_unitary, pad_to_power_of_two
 from csdcirc.qwalk import random_graph, walk_unitary
@@ -48,7 +46,7 @@ def reassemble_sequence(seq: DecompositionSequence) -> np.ndarray:
     for f in seq.factors:
         out = out @ np.diag(np.exp(1j * f.diag_phases))
         out = out @ assemble_rotation_factor(f.level, f.theta, seq.n)
-    return out @ np.diag(np.exp(1j * seq.leaf_diagonal.phases))
+    return out @ np.diag(np.exp(1j * seq.leaf_phases))
 
 
 def diag_of_rz_gate(g: UniformRotation, n: int) -> np.ndarray:
@@ -77,6 +75,15 @@ def diag_of_pi_gate(g: PiGate, n: int) -> np.ndarray:
     return d
 
 
+def level_of_position(p: int, n: int) -> int:
+    """Oracle: the ruler sequence, n minus the number of times 2 divides p."""
+    level = n
+    while p % 2 == 0:
+        p //= 2
+        level -= 1
+    return level
+
+
 def test_level_of_position_paper_values():
     assert level_of_position(4, 3) == 1
     assert level_of_position(1, 3) == 3
@@ -85,10 +92,9 @@ def test_level_of_position_paper_values():
 
 def test_level_of_position_ruler_pattern():
     assert [level_of_position(p, 3) for p in range(1, 8)] == [3, 2, 3, 1, 3, 2, 3]
-    with pytest.raises(OutOfRangeError):
-        level_of_position(0, 3)
-    with pytest.raises(OutOfRangeError):
-        level_of_position(8, 3)
+    for n in range(1, 7):
+        seq = recursive_csd(certify_unitary(np.eye(1 << n)))
+        assert [f.level for f in seq.factors] == [level_of_position(p, n) for p in range(1, 1 << n)]
 
 
 def test_recursive_csd_identity():
@@ -98,7 +104,7 @@ def test_recursive_csd_identity():
     for f in seq.factors:
         assert np.allclose(f.theta, 0.0)
         assert np.allclose(f.diag_phases, 0.0)
-    assert np.allclose(seq.leaf_diagonal.phases, 0.0)
+    assert np.allclose(seq.leaf_phases, 0.0)
 
 
 def test_recursive_csd_single_qubit_rotation():
@@ -108,7 +114,7 @@ def test_recursive_csd_single_qubit_rotation():
     assert len(seq.factors) == 1
     assert seq.factors[0].theta[0] == pytest.approx(t, abs=1e-15)
     assert np.allclose(seq.factors[0].diag_phases, 0.0)
-    assert np.allclose(seq.leaf_diagonal.phases, 0.0)
+    assert np.allclose(seq.leaf_phases, 0.0)
 
 
 def test_recursive_csd_levels_follow_ruler():
@@ -170,7 +176,7 @@ def test_level_synchronous_recursion_equals_depth_first(make):
     for f, (_, theta, diag) in zip(seq.factors, items):
         assert np.array_equal(f.theta, theta)
         assert np.array_equal(f.diag_phases, phases(diag))
-    assert np.array_equal(seq.leaf_diagonal.phases, phases(trailing))
+    assert np.array_equal(seq.leaf_phases, phases(trailing))
 
 
 def test_one_split_stack_call_per_level(monkeypatch):
@@ -310,7 +316,7 @@ def test_published_real_matrix_compiles_to_33_subgates():
 
 
 def test_sign_diagonal_trivial():
-    g, gates = factor_sign_diagonal(SignDiagonal(np.ones(8)), 3)
+    g, gates = factor_sign_diagonal(np.ones(8))
     assert g == 1
     assert all(not gate.flags.any() for gate in gates)
 
@@ -321,7 +327,7 @@ def test_sign_diagonal_exhaustive_small():
         dim = 1 << n
         for bits in range(1 << dim):
             signs = np.array([1.0 if (bits >> i) & 1 == 0 else -1.0 for i in range(dim)])
-            g, gates = factor_sign_diagonal(SignDiagonal(signs), n)
+            g, gates = factor_sign_diagonal(signs)
             rebuilt = np.full(dim, float(g))
             for gate in gates:
                 rebuilt = rebuilt * diag_of_pi_gate(gate, n)
@@ -338,7 +344,7 @@ def test_sign_diagonal_flag_bijection():
             for m, flags in enumerate(flags_by_target, start=1):
                 gate = PiGate(m, tuple(range(1, m)), flags)
                 d = d * diag_of_pi_gate(gate, n)
-            g, gates = factor_sign_diagonal(SignDiagonal(d), n)
+            g, gates = factor_sign_diagonal(d)
             assert g == 1
             for want, gate in zip(flags_by_target, gates):
                 assert np.array_equal(gate.flags, want)
@@ -349,7 +355,7 @@ def test_sign_diagonal_random_oracle():
     for n in range(4, 9):
         for _ in range(40):
             signs = rng.choice([-1.0, 1.0], size=1 << n)
-            g, gates = factor_sign_diagonal(SignDiagonal(signs), n)
+            g, gates = factor_sign_diagonal(signs)
             rebuilt = np.full(1 << n, float(g))
             for gate in gates:
                 rebuilt = rebuilt * diag_of_pi_gate(gate, n)
@@ -358,7 +364,9 @@ def test_sign_diagonal_random_oracle():
 
 def test_sign_diagonal_rejects_bad_values():
     with pytest.raises(ValueError):
-        SignDiagonal(np.array([1.0, 0.5]))
+        factor_sign_diagonal(np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        factor_sign_diagonal(np.ones(6))
 
 
 def test_phase_diagonal_constant():

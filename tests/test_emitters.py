@@ -205,7 +205,7 @@ def json_dumps_reference(circuit) -> str:
             3,
             (
                 UniformRotation(Axis.Y, 1, (), [-0.0]),
-                UniformRotation(Axis.Z, True, (3, 2), [5e-324, 1e300, -1e-5, 0.1]),
+                UniformRotation(Axis.Z, 1, (3, 2), [5e-324, 1e300, -1e-5, 0.1]),
                 PiGate(3, (1,), [True, False]),
                 GlobalPhase(np.pi),
             ),

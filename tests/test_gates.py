@@ -24,7 +24,6 @@ from csdcirc.gates import (
     apply_to_state,
     circuit_matrix,
     count_subgates,
-    gate_matrix,
     verify,
 )
 from csdcirc.matrices import certify_unitary
@@ -32,20 +31,20 @@ from csdcirc.matrices import certify_unitary
 
 def test_uncontrolled_y_rotation_matrix():
     g = UniformRotation(Axis.Y, 1, (), [np.pi / 2])
-    m = gate_matrix(g, 1).mat
+    m = circuit_matrix(Circuit(1, (g,))).mat
     assert np.abs(m - np.array([[0, 1], [-1, 0]])).max() < 1e-15
 
 
 def test_pi_gate_matrix():
     g = PiGate(2, (1,), [False, True])
-    m = gate_matrix(g, 2).mat
+    m = circuit_matrix(Circuit(2, (g,))).mat
     assert np.array_equal(m, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex))
 
 
 def test_controlled_z_rotation_is_the_expected_diagonal():
     angles = np.array([0.3, -0.7, 1.1, 2.4])
     g = UniformRotation(Axis.Z, 3, (1, 2), angles)
-    m = gate_matrix(g, 3).mat
+    m = circuit_matrix(Circuit(3, (g,))).mat
     expect = np.diag(
         np.exp(1j * np.array([0.3, -0.3, -0.7, 0.7, 1.1, -1.1, 2.4, -2.4]))
     )
@@ -54,7 +53,7 @@ def test_controlled_z_rotation_is_the_expected_diagonal():
 
 def test_y_rotation_matrix_is_real():
     g = UniformRotation(Axis.Y, 2, (1, 3), [0.1, 0.2, 0.3, 0.4])
-    m = gate_matrix(g, 3).mat
+    m = circuit_matrix(Circuit(3, (g,))).mat
     assert np.abs(m.imag).max() == 0.0
 
 
@@ -70,12 +69,12 @@ def test_gate_matrix_is_unitary():
             controls,
             rng.uniform(-np.pi, np.pi, 1 << len(controls)),
         )
-        assert gate_matrix(g, n).unitarity_residual < 1e-12
+        assert circuit_matrix(Circuit(n, (g,))).unitarity_residual < 1e-12
 
 
 def test_pi_gate_matrix_is_real_sign_diagonal():
     g = PiGate(1, (2, 3), [True, False, True, True])
-    m = gate_matrix(g, 3).mat
+    m = circuit_matrix(Circuit(3, (g,))).mat
     assert np.abs(m.imag).max() == 0.0
     d = np.diag(m).real
     assert np.array_equal(np.abs(d), np.ones(8))
@@ -97,7 +96,7 @@ def test_apply_matches_dense_matrix():
             g = PiGate(target, controls, rng.integers(0, 2, 1 << len(controls)).astype(bool))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         circ = Circuit(n, (g,))
-        direct = gate_matrix(g, n).mat @ psi
+        direct = circuit_matrix(circ).mat @ psi
         assert np.abs(apply_to_state(circ, psi) - direct).max() < 1e-12
 
 
@@ -152,7 +151,7 @@ def test_broadcast_kernel_matches_the_index_kernel(n):
                 # round differently in numpy's vectorised and scalar loops
                 tol = 0.0 if real else 2 * np.finfo(float).eps * np.abs(psi).max()
                 assert np.abs(out - _index_kernel(psi, g, n)).max() <= tol
-        m = gate_matrix(g, n).mat
+        m = circuit_matrix(Circuit(n, (g,))).mat
         assert m.dtype == (np.float64 if real else complex)
         assert np.array_equal(m, _index_kernel(np.eye(1 << n), g, n))
 
@@ -263,6 +262,28 @@ def test_gate_validation():
         UniformRotation(Axis.Y, 1, (2,), [0.1])
     with pytest.raises(BadQubitIndexError):
         Circuit(2, (UniformRotation(Axis.Y, 3, (), [0.1]),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: UniformRotation(Axis.Y, 1.5, (), [0.1]),
+        lambda: UniformRotation(Axis.Y, 2, (1.7,), [0.1, 0.2]),
+        lambda: PiGate(True, (), [True]),
+        lambda: Circuit(2.5, ()),
+        lambda: Circuit(-1, ()),
+    ],
+    ids=["float-target", "float-control", "bool-target", "float-count", "negative-count"],
+)
+def test_qubit_indices_and_counts_must_be_integers(build):
+    with pytest.raises(BadQubitIndexError):
+        build()
+
+
+def test_numpy_integer_qubits_are_stored_as_ints():
+    g = PiGate(np.int64(2), (np.int32(1),), [False, True])
+    circ = Circuit(np.int64(2), (g,))
+    assert type(g.target) is int and type(g.controls[0]) is int and type(circ.n_qubits) is int
 
 
 def test_count_subgates():

@@ -5,8 +5,6 @@ from csdcirc.errors import AsymmetricAdjacencyError, IsolatedNodeError
 from csdcirc.qwalk import (
     Graph,
     arc_basis,
-    format_graph_edges,
-    grover_coin,
     parse_graph,
     random_graph,
     walk_unitary,
@@ -14,18 +12,34 @@ from csdcirc.qwalk import (
 from paper_data import SQUARE_GRAPH_TEXT, SQUARE_WALK, STAR_GRAPH_TEXT, star_walk_matrix
 
 
+def translation_and_coin(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: T and C built arc by arc from the arc basis.
+
+    T maps arc (i, j) to arc (j, i); C is block-diagonal over source nodes,
+    2/d off the diagonal and 2/d - 1 on it for a node with d outgoing arcs.
+    """
+    arcs = arc_basis(g).arcs
+    position = {arc: k for k, arc in enumerate(arcs)}
+    t = np.zeros((len(arcs), len(arcs)))
+    c = np.zeros_like(t)
+    for k, (i, j) in enumerate(arcs):
+        t[position[(j, i)], k] = 1.0
+        block = [m for m, (src, _) in enumerate(arcs) if src == i]
+        c[k, block] = 2.0 / len(block)
+        c[k, k] -= 1.0
+    return t, c
+
+
 def test_grover_coin_values():
-    assert np.array_equal(grover_coin(1).mat, np.array([[1.0]]))
-    assert np.array_equal(grover_coin(2).mat, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    c8 = grover_coin(8).mat
-    assert np.allclose(np.diag(c8), -0.75)
-    off = c8[~np.eye(8, dtype=bool)]
-    assert np.allclose(off, 0.25)
-
-
-def test_grover_coin_is_unitary():
-    for d in (1, 2, 3, 5, 8, 13):
-        assert grover_coin(d).unitarity_residual < 1e-12
+    # node 1 has 8 arcs, nodes 2 and 3 have 2, nodes 4..9 have 1
+    g = parse_graph("9\n" + "".join(f"1 {k}\n" for k in range(2, 10)) + "2 3\n")
+    t, _ = translation_and_coin(g)
+    coin = t @ walk_unitary(g)[0].mat  # T is its own inverse
+    c8 = coin[:8, :8]
+    assert np.array_equal(np.diag(c8), np.full(8, -0.75))
+    assert np.array_equal(c8[~np.eye(8, dtype=bool)], np.full(56, 0.25))
+    assert np.array_equal(coin[8:10, 8:10], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(coin[12:, 12:], np.eye(6))
 
 
 def test_square_walk_matches_published_matrix():
@@ -48,14 +62,14 @@ def test_single_node_self_loop():
     assert basis.arcs == ((1, 1),)
 
 
-def test_translation_is_an_involution():
-    g = random_graph(12, 61, seed=1)
-    basis = arc_basis(g)
-    for i, j in basis.arcs:
-        k = basis.index((i, j))
-        assert basis.index((j, i)) != k or i == j
-        assert basis.arcs[basis.index((j, i))] == (j, i)
-        assert basis.arcs[basis.index((i, j))] == (i, j)
+def test_walk_unitary_is_translation_times_coin():
+    every_node_looped = random_graph(7, 24, seed=5).adjacency | np.eye(7, dtype=bool)
+    graphs = [random_graph(12, 60, seed=1), random_graph(12, 61, seed=1), Graph(every_node_looped)]
+    graphs += [random_graph(9, arcs, seed=seed) for seed in range(3) for arcs in (30, 31)]
+    for g in graphs:
+        t, c = translation_and_coin(g)
+        assert np.array_equal(t @ t, np.eye(len(t)))
+        assert np.array_equal(walk_unitary(g)[0].mat, t @ c)
 
 
 def test_walk_entries_come_from_coins():
@@ -106,12 +120,6 @@ def test_isolated_node_rejected_at_walk_time():
 def test_parse_rejects_bad_edge():
     with pytest.raises(ValueError):
         parse_graph("3\n1 5\n")
-
-
-def test_edge_list_round_trip():
-    g = random_graph(9, 41, seed=4)
-    back = parse_graph(format_graph_edges(g))
-    assert np.array_equal(back.adjacency, g.adjacency)
 
 
 def test_random_graph_is_deterministic_and_exact():
