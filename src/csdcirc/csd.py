@@ -13,18 +13,32 @@ free, v) column is real non-negative.  Correctness of every split is asserted
 by reconstruction, not by the construction route.
 
 The kernel works on a whole stack of equal-size blocks, one recursion level
-at a time, and writes the factors into preallocated output stacks.  2x2
-blocks have a closed form.  Every other complex block, and every real block
-below SVD_ROUTE_MIN_DIM, goes to LAPACK's CSD (xORCSD for real, xUNCSD for
-complex blocks; B. D. Sutton, "Computing the complete CS decomposition",
-Numer. Algorithms 50, 2009): the routine and its workspace size are looked up
-once per chunk of the stack, the raw routine runs once per block, and
-canonicalisation and the reconstruction check each run once over the chunk.
+at a time, and writes the factors into preallocated output stacks.  Routes,
+by block size m:
+
+* m = 2: a closed form.
+* m = 4 and 8, and every block the batched route does not take: LAPACK's
+  CSD (xORCSD for real, xUNCSD for complex blocks; B. D. Sutton, "Computing
+  the complete CS decomposition", Numer. Algorithms 50, 2009), one raw call
+  per block, with the routine and its workspace size looked up once per
+  chunk of the stack.
+* m >= 16, complex or real below SVD_ROUTE_MIN_DIM: a batched route for
+  well-separated blocks (C. F. Van Loan, "Computing the CS and the
+  generalized singular value decompositions", Numer. Math. 46, 1985).  One
+  stacked SVD of the top-left quadrants gives u, theta and x; a block with
+  a theta cluster within DEGEN_EPS, or a theta at 0 or pi/2, is not
+  separated and goes to LAPACK.  A QR factorisation of the top quadrants
+  finds most blocks of the last kind, walk blocks above all, without the
+  SVD.  Separated blocks take v and y from one stacked SVD of the
+  bottom-right quadrants, each pair phase-matched through the top-right
+  quadrant.
+* real m >= SVD_ROUTE_MIN_DIM: a composite of SVDs, one block at a time.
+
+Canonicalisation and the reconstruction check each run once over a chunk.
 Chunks bound the temporaries of these batched steps, which would otherwise
-grow with the whole level.  Large real blocks take a faster composite of
-SVDs, one block at a time; it falls back to LAPACK whenever its
-reconstruction residual is not good enough, so route selection never affects
-correctness.
+grow with the whole level.  A block that the batched or SVD route leaves
+above the reconstruction tolerance is redone by LAPACK, so route selection
+never affects correctness.
 """
 
 from __future__ import annotations
@@ -43,6 +57,8 @@ DEGEN_EPS = 1e-8
 GAUGE_EPS = 1e-13
 # real blocks at least this large take the SVD-composite route
 SVD_ROUTE_MIN_DIM = 512
+# blocks at least this large (and below the SVD route) try the batched route
+BATCHED_MIN_DIM = 16
 # the batched routes take a stack this many entries at a time, so their
 # temporaries stay small next to a whole recursion level's stack
 _CHUNK_ENTRIES = 1 << 18
@@ -87,9 +103,10 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
             rows = slice(lo, lo + step)
             if m == 2:
                 factors, residual = _csd_dim2_batch(blocks[rows])
+            elif m >= BATCHED_MIN_DIM:
+                factors, residual = _csd_batched(blocks[rows], tol)
             else:
-                factors = _canonicalize(*_csd_lapack(blocks[rows]))
-                residual = _reconstruction_residual(blocks[rows], *factors)
+                factors, residual = _csd_per_block(blocks[rows])
             _require(residual, tol)
             u, v, th, x, y = factors
             lefts[rows, 0], lefts[rows, 1] = u.reshape(-1, h, h), v.reshape(-1, h, h)
@@ -98,10 +115,84 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     return lefts.reshape(2 * k, h, h), theta.reshape(-1), rights.reshape(2 * k, h, h)
 
 
-def _require(residual: float, tol: Tolerances):
-    """Enforce the reconstruction contract; a NaN residual fails it too."""
-    if not residual <= tol.reconstruct:
-        raise NumericalFailureError(residual, tol.reconstruct)
+def _require(residual: np.ndarray, tol: Tolerances):
+    """Enforce the reconstruction contract on every block; a NaN residual fails it too."""
+    worst = float(np.max(residual))
+    if not worst <= tol.reconstruct:
+        raise NumericalFailureError(worst, tol.reconstruct)
+
+
+def _csd_batched(blocks: np.ndarray, tol: Tolerances):
+    """CSD of a (k, 2h, 2h) stack: batched where separated, LAPACK for the rest.
+
+    Returns the canonical factors and each block's reconstruction residual.
+    A block the batched route leaves above tol.reconstruct is redone by
+    LAPACK, so only the blocks that need it pay for a per-block call.
+    """
+    k = blocks.shape[0]
+    live = _may_separate(blocks)
+    if not live.size:  # as on most large walk blocks
+        return _csd_per_block(blocks)
+    separated, factors = _csd_van_loan(blocks, live)
+    residual = _reconstruction_residual(blocks[separated], *factors)
+    done = residual <= tol.reconstruct
+    if done.all() and separated.size == k:
+        return factors, residual
+    kept = separated[done]
+    rest = np.setdiff1d(np.arange(k), kept)
+    redone, redone_residual = _csd_per_block(blocks[rest])
+    out = tuple(np.empty((k, *f.shape[1:]), f.dtype) for f in redone)
+    for o, f, g in zip(out, redone, factors):
+        o[rest], o[kept] = f, g[done]
+    out_residual = np.empty(k)
+    out_residual[rest], out_residual[kept] = redone_residual, residual[done]
+    return out, out_residual
+
+
+def _csd_per_block(blocks: np.ndarray):
+    """LAPACK CSD of each block of a stack, canonicalised, and each block's residual."""
+    factors = _canonicalize(*_csd_lapack(blocks))
+    return factors, _reconstruction_residual(blocks, *factors)
+
+
+def _may_separate(blocks: np.ndarray) -> np.ndarray:
+    """Indices of the blocks of a (k, 2h, 2h) stack not proven singular in X12 or X11.
+
+    X12 = QR has R's singular values, the sin theta, and the smallest
+    singular value of a triangular R is at most its smallest diagonal entry;
+    likewise X11 and cos theta.  So a tiny r_jj proves, without an SVD, that
+    a block is not separated.  A zero line makes one, and so does any
+    exactly rank-deficient quadrant, as in most degenerate walk blocks.
+    """
+    h = blocks.shape[1] // 2
+    live = np.flatnonzero(_min_r(blocks[:, :h, h:]) > DEGEN_EPS / 2)
+    return live[_min_r(blocks[live, :h, :h]) > DEGEN_EPS / 2]
+
+
+def _csd_van_loan(blocks: np.ndarray, live: np.ndarray):
+    """Van Loan's CSD of the well-separated blocks among blocks[live].
+
+    Returns the indices of those blocks and their canonical factors.  A
+    block is separated when its theta are more than DEGEN_EPS apart and
+    their sin and cos exceed DEGEN_EPS.  Then X22 = v C y has distinct
+    singular values, so its SVD fixes each (v_i, y_i) pair up to one unit
+    phase, and X12 = u S y pins that phase: it is the phase of the i-th
+    diagonal entry of u^H X12 y'^H for the SVD's y'.
+
+    The two SVDs resolve a pair of close angles each in its own way, which
+    costs X12 and X21 an error of about eps over the pair's angle gap; the
+    reconstruction check sends a block where that is too much to LAPACK.
+    """
+    h = blocks.shape[1] // 2
+    u, theta, x, uh_x12 = _svd_top_left(blocks[live, :h, :h], blocks[live, :h, h:])
+    margins = np.concatenate((np.diff(theta, axis=-1), np.cos(theta), np.sin(theta)), axis=-1)
+    keep = (margins > DEGEN_EPS).all(axis=-1)
+    separated = live[keep]
+    v, _, y = np.linalg.svd(blocks[separated, h:, h:])
+    phase = _unit_phase(np.sum(uh_x12[keep] * y.conj(), axis=-1), np.ones(y.shape[:2], y.dtype))
+    y *= phase[..., :, None]
+    v *= phase.conj()[..., None, :]
+    return separated, _canonicalize(u[keep], v, theta[keep], x[keep], y)
 
 
 def _csd_cossin(a: np.ndarray):
@@ -161,14 +252,8 @@ def _csd_svd_real(a: np.ndarray):
     the top-right block via exact polar alignment per degenerate cluster.
     """
     m = a.shape[0] // 2
-    x11, x12 = a[:m, :m], a[:m, m:]
     x21, x22 = a[m:, :m], a[m:, m:]
-    u, sigma, xh = np.linalg.svd(x11)
-    u_t_x12 = u.T @ x12
-    # arccos of a singular value near 1 loses half the digits; the row norms
-    # of u^T X12 give sin(theta) with full absolute accuracy instead.
-    sin_direct = np.linalg.norm(u_t_x12, axis=1)
-    theta = np.arctan2(sin_direct, np.clip(sigma, 0.0, 1.0))
+    u, theta, xh, u_t_x12 = _svd_top_left(a[:m, :m], a[:m, m:])
     c = np.cos(theta)
     s = np.sin(theta)
 
@@ -197,6 +282,26 @@ def _csd_svd_real(a: np.ndarray):
         y[:m0] = y0
         v[:, :m0] = v0
     return u, v, theta, xh, y
+
+
+def _svd_top_left(x11: np.ndarray, x12: np.ndarray):
+    """u, theta, x from the SVD of X11 (one block or a stack), and u^H X12.
+
+    theta ascends as the singular values cos(theta) descend.
+    """
+    u, sigma, x = np.linalg.svd(x11)
+    uh = np.swapaxes(u, -1, -2)
+    uh_x12 = (uh.conj() if np.iscomplexobj(uh) else uh) @ x12
+    # arccos of a singular value near 1 loses half the digits; the row norms
+    # of u^H X12 give sin(theta) with full absolute accuracy instead.
+    theta = np.arctan2(np.linalg.norm(uh_x12, axis=-1), np.clip(sigma, 0.0, 1.0))
+    return u, theta, x, uh_x12
+
+
+def _min_r(x: np.ndarray) -> np.ndarray:
+    """Smallest |r_jj| of the QR factorisation of each matrix of a stack."""
+    r = np.linalg.qr(x, mode="r")
+    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1)
 
 
 def _clusters(values: np.ndarray):
@@ -278,18 +383,28 @@ def _peak_phase(f: np.ndarray) -> np.ndarray:
     return _unit_phase(peak, np.ones_like(peak))
 
 
-def _reconstruction_residual(a, u, v, theta, x, y) -> float:
-    """Worst entry error of the reassembled quadrants, over one block or a stack."""
+def _reconstruction_residual(a, u, v, theta, x, y) -> np.ndarray:
+    """Each block's worst entry error of its reassembled quadrants.
+
+    Shape (k,) for a stack of k blocks, () for one block.
+    """
     c, s = np.cos(theta)[..., None, :], np.sin(theta)[..., None, :]
     m = theta.shape[-1]
-    return _worst(
+    worst = _worst(
         (u * c) @ x - a[..., :m, :m],
         (u * s) @ y - a[..., :m, m:],
         -(v * s) @ x - a[..., m:, :m],
         (v * c) @ y - a[..., m:, m:],
-    )
+    ).reshape(-1)
+    # one pass over all entries: a max over the last two axes loops once per
+    # block, several times slower on the many small blocks of the low levels
+    per_block = np.maximum.reduceat(worst, np.arange(0, worst.size, m * m))
+    return per_block.reshape(theta.shape[:-1])
 
 
-def _worst(*errors: np.ndarray) -> float:
-    """Largest absolute entry over all arrays; NaN if any entry is NaN."""
-    return float(np.max([np.abs(e).max() for e in errors]))
+def _worst(*errors: np.ndarray) -> np.ndarray:
+    """Entrywise largest absolute value over equal-shape arrays; NaN where any is NaN."""
+    worst = np.abs(errors[0])
+    for e in errors[1:]:
+        np.maximum(worst, np.abs(e), out=worst)
+    return worst

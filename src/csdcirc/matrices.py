@@ -7,6 +7,7 @@ as proof of unitarity.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -128,6 +129,7 @@ def format_matrix_text(m) -> str:
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
+    """Parse the text format; every entry goes through Python's float()."""
     tokens_by_line = [ln.split() for ln in text.splitlines()]
     rows = [t for t in tokens_by_line if t]
     if not rows:
@@ -137,18 +139,19 @@ def parse_matrix_text(text: str) -> np.ndarray:
     d = int(rows[0][0])
     if len(rows) != d + 1:
         raise ValueError(f"expected {d} matrix rows, found {len(rows) - 1}")
-    any_complex = any("," in tok for row in rows[1:] for tok in row)
-    out = np.zeros((d, d), dtype=np.complex128 if any_complex else np.float64)
     for i, row in enumerate(rows[1:]):
         if len(row) != d:
             raise ValueError(f"row {i + 1} has {len(row)} entries, expected {d}")
-        for j, tok in enumerate(row):
-            if "," in tok:
-                re_s, im_s = tok.split(",", 1)
-                out[i, j] = complex(float(re_s), float(im_s))
-            else:
-                out[i, j] = float(tok)
-    return out
+    tokens = itertools.chain.from_iterable(rows[1:])
+    is_complex = "," in text  # the dimension line parsed as an int, so it holds none
+    if is_complex:
+        # each entry becomes its re, im pair, re,0 where it has no comma
+        pairs = map(str.partition, tokens, itertools.repeat(","))
+        tokens = itertools.chain.from_iterable(
+            (re_s, im_s if comma else "0") for re_s, comma, im_s in pairs
+        )
+    values = np.fromiter(map(float, tokens), np.float64, (1 + is_complex) * d * d)
+    return (values.view(np.complex128) if is_complex else values).reshape(d, d)
 
 
 def parse_matrix_json(text: str) -> np.ndarray:

@@ -11,7 +11,7 @@ def test_bench_csd_runs_both_routes_at_a_small_dimension():
     bench_csd = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_csd)
     rows = bench_csd.bench(dim=16, repeats=2, seed=0)
-    assert [route for route, _, _ in rows] == ["lapack", "svd"]
+    assert [route for route, _, _ in rows] == ["lapack", "batched", "svd"]
     for _, best, worst in rows:
         assert best >= 0.0
         assert worst < 1e-12

@@ -155,11 +155,16 @@ def test_non_finite_block_is_a_numerical_failure(dim):
         split_stack(a, Tolerances())
 
 
-NAN_STACKS = {
-    f"{kind}-m{m}": (group, m)
-    for m in (4, 16)
-    for kind, group in (("real", ortho_group), ("complex", unitary_group))
-}
+def stack_params(sizes):
+    """pytest parameters: a real and a complex stack of each block size."""
+    return {
+        f"{kind}-m{m}": (group, m)
+        for m in sizes
+        for kind, group in (("real", ortho_group), ("complex", unitary_group))
+    }
+
+
+NAN_STACKS = stack_params((4, 16))
 
 
 @pytest.mark.parametrize("group, m", NAN_STACKS.values(), ids=NAN_STACKS.keys())
@@ -176,8 +181,15 @@ def test_non_finite_stack_fails_before_lapack(monkeypatch, group, m):
 
 @pytest.mark.parametrize(
     "group, m",
-    [(ortho_group, 2), (unitary_group, 2), (ortho_group, 4), (unitary_group, 8)],
-    ids=["real-m2", "complex-m2", "real-m4", "complex-m8"],
+    [
+        (ortho_group, 2),
+        (unitary_group, 2),
+        (ortho_group, 4),
+        (unitary_group, 8),
+        (unitary_group, 16),
+        (ortho_group, 32),
+    ],
+    ids=["real-m2", "complex-m2", "real-m4", "complex-m8", "complex-m16", "real-m32"],
 )
 def test_chunked_stack_is_bit_identical(monkeypatch, group, m):
     blocks = random_stack(group, m, 7, seed=18)
@@ -212,11 +224,11 @@ def reference_split(blocks):
 
 
 def walk_stacks():
-    """The m = 4 and m = 8 stacks split_stack sees on a small walk operator."""
+    """The stacks of m >= 4 that split_stack sees on a small walk operator."""
     seen = []
 
     def spy(blocks, tol):
-        if blocks.shape[1] in (4, 8):
+        if blocks.shape[1] >= 4:
             seen.append(blocks.copy())
         return split_stack(blocks, tol)
 
@@ -231,11 +243,17 @@ def random_stack(group, m, k, seed):
     return np.stack([group.rvs(m, random_state=seed + i) for i in range(k)])
 
 
-STACKS = {
-    f"{kind}-m{m}": (group, m)
-    for m in (4, 8, 16, 64)
-    for kind, group in (("real", ortho_group), ("complex", unitary_group))
-}
+def cossin_calls(monkeypatch) -> list:
+    """Record the block of every per-block LAPACK call from here on."""
+    calls = []
+
+    def spy(a, *args):
+        calls.append(a.copy())
+        return cossin_call(a, *args)
+
+    cossin_call = csd.cossin
+    monkeypatch.setattr(csd, "cossin", spy)
+    return calls
 
 
 def assert_bit_identical_to_cossin(blocks):
@@ -246,19 +264,58 @@ def assert_bit_identical_to_cossin(blocks):
     return got[1].reshape(blocks.shape[0], -1)
 
 
-@pytest.mark.parametrize("group, m", STACKS.values(), ids=STACKS.keys())
+def assert_agrees_with_cossin(blocks):
+    """A split of separated blocks against reference_split, within rounding.
+
+    Canonical factors are unique when the angles are distinct and away from 0
+    and pi/2, so the batched route must land on LAPACK's up to rounding.
+    """
+    got, want = split_stack(blocks, Tolerances()), reference_split(blocks)
+    assert np.abs(got[1] - want[1]).max() <= 1e-12
+    for g, w in zip(got[::2], want[::2]):
+        assert g.dtype == w.dtype and np.abs(g - w).max() <= 1e-10
+    k, h = blocks.shape[0], blocks.shape[1] // 2
+    lefts, theta, rights = (f.reshape(k, -1, *f.shape[1:]) for f in got)
+    factors = (lefts[:, 0], lefts[:, 1], theta.reshape(k, h), rights[:, 0], rights[:, 1])
+    assert csd._reconstruction_residual(blocks, *factors).max() <= 1e-12
+    return got
+
+
+LAPACK_STACKS = stack_params((4, 8))
+SEPARATED_STACKS = stack_params((16, 64))
+
+
+@pytest.mark.parametrize("group, m", LAPACK_STACKS.values(), ids=LAPACK_STACKS.keys())
 def test_stacked_kernel_is_bit_identical_to_cossin_per_block(group, m):
     assert_bit_identical_to_cossin(random_stack(group, m, 5, seed=100 * m))
 
 
-def test_stacked_kernel_is_bit_identical_on_walk_stacks():
+@pytest.mark.parametrize("group, m", SEPARATED_STACKS.values(), ids=SEPARATED_STACKS.keys())
+def test_batched_route_agrees_with_cossin_per_block(monkeypatch, group, m):
+    blocks = random_stack(group, m, 5, seed=100 * m)
+    calls = cossin_calls(monkeypatch)
+    whole = assert_agrees_with_cossin(blocks)
+    assert not calls  # random blocks are separated: none reaches LAPACK
+    # each block comes out of a stack as it comes out alone, bit for bit
+    h = m // 2
+    for b in range(blocks.shape[0]):
+        alone = split_stack(blocks[b : b + 1], Tolerances())
+        assert np.array_equal(alone[0], whole[0][2 * b : 2 * b + 2])
+        assert np.array_equal(alone[1], whole[1][b * h : (b + 1) * h])
+        assert np.array_equal(alone[2], whole[2][2 * b : 2 * b + 2])
+
+
+def test_stacked_kernel_is_bit_identical_on_walk_stacks(monkeypatch):
     stacks = walk_stacks()
-    assert {s.shape[1] for s in stacks} == {4, 8}
+    assert {s.shape[1] for s in stacks} == {4, 8, 16, 32}
+    calls = cossin_calls(monkeypatch)
     clustered = 0
     for blocks in stacks:
         theta = assert_bit_identical_to_cossin(blocks)
         clustered += np.count_nonzero(np.abs(np.diff(theta, axis=1)) <= DEGEN_EPS)
     assert clustered  # the walk stacks carry degenerate theta clusters
+    # the m16 and m32 walk blocks are degenerate too: every block went to LAPACK
+    assert len(calls) == sum(s.shape[0] for s in stacks)
 
 
 def test_canonicalize_stack_equals_one_block_at_a_time():

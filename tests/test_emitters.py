@@ -329,16 +329,16 @@ def digest(texts) -> str:
 # benchmark compiles them: LAPACK's last bits depend on the thread count.
 GOLDEN_SHA256 = {
     "walk-n8": (
-        "eed40fd67a0e64ec791c9c5eabeed0783826d9f899911e11a58e9f10708860ed",
-        "c35269364a9c58c1088528d7fbfbc2b1aa3c5635e3224c4ab7cb6064dba88e73",
+        "df47862c953c4e7295ea965bec874ace069550f1769633c8a7804d309fe6bbf7",
+        "3c21133fce64466f41379bc4b029836589115e5f7378ecb52b5dfd71ca1e6390",
     ),
     "haar-n7": (
-        "ac5d10c2f55edbc503f4bc15e641c5bc48463c24e1452bf511a60a17c995a9ea",
-        "c1547e7f0923801c95fb697e58a76bd95fafdfb9aa057fbddaf8bd9cceb144a7",
+        "4aaadaa3f6afc12f29cc44d61e0a226f01e264809ce7fbe15f0e8d01f66bb19b",
+        "897903a9e1cf69dc771aa8fc0eafd0a802aee403431b4f5b319a7823ce213e9e",
     ),
     "small-stream": (
-        "4845e5e5a02f7c15bc9bc109b99693833c2da3def9cbf1683c2e65317ecbf695",
-        "ec72ca8516d61f27df73585d5c84cc732596a463804e72c194a7221fedd844e1",
+        "4289ac1a91015cc610e044aad42ccc9385bb6517aee49c5fc28e2bb61dfa9782",
+        "cb7a9db556bbde53cf8aae99c5b2825f22c828bbe2d0d5bfec291e83e2f2228d",
     ),
     "square-walk": (
         "ab7d7376dc269f232ef14c04d88ac8acffaf87795d0ca4222785b3f1ad481188",
