@@ -44,6 +44,7 @@ from .errors import (
     TextSyntaxError,
 )
 from .gates import Axis, Circuit, GlobalPhase, PiGate, UniformRotation
+from .matrices import _index
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
 # Digits for exact mode: enough that turn -> radians reproduces the float64
@@ -582,42 +583,189 @@ def _build_gate(r: _Record, angles):
 
 
 # --- JSON -------------------------------------------------------------------
+#
+# json.dumps writes a float as repr does: the shortest decimal that reads back
+# as the same double and, of those, the nearest to it (Steele and White, PLDI
+# 1990; Adams, PLDI 2018).  With the digits d1..dn and the decimal exponent
+# p (the value is 0.d1..dn * 10**p), p from -3 to 16 is fixed notation, such
+# as "0.000d1d2..", "d1.d2..", and other p are "d1.d2..e-XX" or "e+XX".
+#
+# The numpy pass takes |angle| in [_JSON_MIN, 10), so p <= 1 and "." only
+# ever follows d1.  It scales |angle| by 10**k into [1e16, 1e17) as a
+# double-double, exact for k <= 22 (10**k is then a double), and rounds it
+# to 14, 15, 16 and 17 digits.  An n-digit decimal reads back as the angle
+# when it lies within half an ulp of it, which the 17-digit rounding always
+# does, and the rounding is the nearest of the n-digit decimals.  The pass
+# writes the shortest rounding of 15 to 17 digits that reads back.  It
+# leaves to repr a rounding within _JSON_TIE of a tie, a distance within
+# _JSON_TIE of the half-ulp bound, a power of two (its lower gap is half as
+# wide), a 14-digit rounding that reads back (the shortest form has 14
+# digits or fewer), and an angle outside its range.
+
+# A JSON row: the sign, "0." and up to three zeros, d1 at _JSON_D1, "." or
+# _PAD, d2..d17 (whole uint32 words), "e-XX" or "e-XXX", a spare byte and
+# the item separator.
+_JSON_ROW = 40
+_JSON_D1 = 6
+_JSON_D2_WORDS = slice(2, 6)
+_JSON_EXPONENT = 24
+_JSON_SEP = ",\n        "
+_JSON_SEP_AT = _JSON_ROW - len(_JSON_SEP)
+# in place of the separator after the last item of a list
+_JSON_LIST_END = np.array([1] + [_PAD] * (len(_JSON_SEP) - 1), np.uint8)
+_JSON_MIN = 1e-290
+_JSON_MAX = 10.0
+# Scaled, the distances and the half ulp are exact to within 1e-12 (the
+# double-double product, to 4 * 2**-106 * 1e17, and a few roundings of
+# values below 1016); a half ulp is at least 0.55.
+_JSON_TIE = 1e-9
+_EXPONENT_BITS = 0x7FF << 52
+_MANTISSA_BITS = (1 << 52) - 1
+# the uint32 word of d14..d17 with its last 0, 1 or 2 digits blanked
+_JSON_KEEP = np.frombuffer(b"\xff\xff\xff\xff\xff\xff\xff\x00\xff\xff\x00\x00", np.uint32)
+# a PiGate's bool flags, as bytes, to its letters
+_FLAG_LETTERS = bytes.maketrans(b"\0\1", b"NY")
 
 
-def _json_list(items, indent: str) -> str:
-    """A list as json.dumps(..., indent=2) writes it at this item indent."""
-    if not items:
-        return "[]"
-    return "[\n" + indent + f",\n{indent}".join(items) + "\n" + indent[:-2] + "]"
-
-
-def _json_gate(g) -> str:
-    if isinstance(g, GlobalPhase):
-        fields = ['"kind": "phase"', f'"phase": {float(g.phase)!r}']
-    else:
-        if isinstance(g, UniformRotation):
-            kind = "ry" if g.axis is Axis.Y else "rz"
-            payload = '"angles": ' + _json_list(list(map(repr, g.angles.tolist())), " " * 8)
+def _json_templates() -> np.ndarray:
+    """JSON rows by the scale k = 17 - p, all but the sign and the digits; _PAD elsewhere."""
+    rows = np.zeros((309, _JSON_ROW), np.uint8)
+    rows[:, _JSON_SEP_AT:] = np.frombuffer(_JSON_SEP.encode(), np.uint8)
+    for k in range(16, 309):
+        point = 17 - k
+        if -3 <= point <= 0:
+            prefix = b"0." + b"0" * -point
+            rows[k, _JSON_D1 - len(prefix) : _JSON_D1] = np.frombuffer(prefix, np.uint8)
         else:
-            kind = "pi"
-            payload = '"flags": "' + "".join("Y" if f else "N" for f in g.flags) + '"'
-        fields = [
-            f'"kind": "{kind}"',
-            f'"target": {g.target}',
-            '"controls": ' + _json_list([str(c) for c in g.controls], " " * 8),
-            payload,
-        ]
-    return "{\n      " + ",\n      ".join(fields) + "\n    }"
+            rows[k, _JSON_D1 + 1] = ord(".")
+        if point < -3:
+            expo = b"e%+03d" % (point - 1)
+            rows[k, _JSON_EXPONENT : _JSON_EXPONENT + len(expo)] = np.frombuffer(expo, np.uint8)
+    return rows
+
+
+_JSON_TEMPLATES = _json_templates()
+_JSON_ZERO_ROWS = np.repeat(_JSON_TEMPLATES[:1], 2, axis=0)
+_JSON_ZERO_ROWS[:, 1:4] = np.frombuffer(b"0.0", np.uint8)
+_JSON_ZERO_ROWS[1, 0] = ord("-")
+
+
+def _shortest_digits(mag):
+    """repr's digits of mag, for _JSON_MIN <= mag < 10: (digits, blank, k, exact).
+
+    digits * 10**-k is the shortest decimal, its 17 - blank significant
+    digits followed by blank zeros; exact is False where the pass leaves mag
+    to repr.
+    """
+    k = 16 - np.floor(np.log10(mag)).astype(np.int64)
+    th, tl, th_hi, th_lo = (np.take(column, k) for column in _POW10)
+    sh, se = _two_prod(mag, th, th_hi, th_lo)
+    sh, sl = _fast_two_sum(sh, se + mag * tl)
+    # mag * 10**k = 1000 * thousands + off; sh is an integer when at least 2**53
+    whole = sh.astype(np.int64)
+    thousands = whole // 1000
+    off = (whole - thousands * 1000).astype(np.float64) + sl
+    bits = mag.view(np.int64)
+    half_ulp = (bits & _EXPONENT_BITS).view(np.float64) * th * 2.0**-53
+    r14, r15, r16 = (np.rint(off * (1 / unit)) * unit for unit in (1000, 100, 10))
+    r17 = np.rint(off)
+    gap15 = np.abs(off - r15)
+    gap16 = np.abs(off - r16)
+    fits15 = gap15 < half_ulp
+    fits16 = gap16 < half_ulp
+    low = np.where(fits16, np.where(fits15, r15, r16), r17)
+    digits = thousands * 1000 + low.astype(np.int64)
+    exact = (
+        (np.abs(off - r14) - half_ulp > _JSON_TIE)
+        & (np.abs(gap15 - half_ulp) > _JSON_TIE)
+        & (np.abs(gap16 - half_ulp) > _JSON_TIE)
+        & (np.abs(gap16 - 5) > _JSON_TIE)
+        & (fits16 | (np.abs(np.abs(off - r17) - 0.5) > _JSON_TIE))
+        & ((digits - 10**16).view(np.uint64) < 9 * 10**16)  # 17 digits
+        & (bits & _MANTISSA_BITS != 0)
+    )
+    return digits, fits15.view(np.uint8) + fits16.view(np.uint8), k, exact
+
+
+def _json_rows(angles: np.ndarray) -> np.ndarray:
+    """One row per angle: its repr and the item separator, _PAD-filled."""
+    mag = np.abs(angles)
+    fast = (mag >= _JSON_MIN) & (mag < _JSON_MAX)
+    digits, blank, k, exact = _shortest_digits(np.where(fast, mag, 1.0))
+    rows = np.take(_JSON_TEMPLATES, k, axis=0)
+    negative = np.signbit(angles).view(np.uint8)
+    rows[:, 0] = negative * np.uint8(ord("-"))
+    lead = digits // 10**16
+    rows[:, _JSON_D1] = lead + ord("0")
+    tops = digits // 10**8
+    high = tops - lead * 10**8
+    low = digits - tops * 10**8
+    groups = np.empty((angles.size, 4), np.int64)
+    groups[:, 0] = high // 10**4
+    groups[:, 1] = high - groups[:, 0] * 10**4
+    groups[:, 2] = low // 10**4
+    groups[:, 3] = low - groups[:, 2] * 10**4
+    words = rows.view(np.uint32)[:, _JSON_D2_WORDS]
+    np.take(_DIGITS4, groups, out=words, mode="clip")
+    words[:, 3] &= np.take(_JSON_KEEP, blank)
+    zero = np.flatnonzero(mag == 0)
+    rows[zero] = _JSON_ZERO_ROWS[negative[zero]]
+    slow = np.flatnonzero(~(fast & exact) & (mag != 0))
+    if slow.size:
+        tokens = "".join([repr(a).ljust(_JSON_SEP_AT, "\0") for a in angles[slow].tolist()])
+        rows[slow, :_JSON_SEP_AT] = np.frombuffer(tokens.encode("ascii"), np.uint8).reshape(-1, _JSON_SEP_AT)
+    return rows
+
+
+def _json_items(payloads: list[np.ndarray]) -> list[str]:
+    """The items of each angle list as json.dumps(..., indent=2) writes them, in one pass per chunk."""
+    sizes = [p.size for p in payloads]
+    if sum(sizes) < _VECTOR_MIN:
+        return [_JSON_SEP.join(map(repr, p.tolist())) for p in payloads]
+    angles = np.concatenate(payloads)
+    last_rows = np.cumsum(sizes) - 1
+    items: list[str] = []
+    carry = ""
+    for start in range(0, angles.size, _CHUNK):
+        rows = _json_rows(angles[start : start + _CHUNK])
+        ends = last_rows[np.searchsorted(last_rows, start) : np.searchsorted(last_rows, start + _CHUNK)]
+        rows[ends - start, _JSON_SEP_AT:] = _JSON_LIST_END
+        parts = rows.tobytes().translate(None, bytes([_PAD])).decode("ascii").split("\1")
+        parts[0] = carry + parts[0]
+        carry = parts.pop()
+        items += parts
+    return items
+
+
+def _json_gate(g, angle_items) -> list[str]:
+    """The parts of a gate object as json.dumps(..., indent=2) writes it in the gate list."""
+    if isinstance(g, GlobalPhase):
+        return [f'{{\n      "kind": "phase",\n      "phase": {float(g.phase)!r}\n    }}']
+    if g.controls:
+        controls = "[\n        " + ",\n        ".join(map(str, g.controls)) + "\n      ]"
+    else:
+        controls = "[]"
+    kind = "pi" if isinstance(g, PiGate) else "ry" if g.axis is Axis.Y else "rz"
+    head = f'{{\n      "kind": "{kind}",\n      "target": {g.target},\n      "controls": {controls},\n      '
+    if kind == "pi":
+        flags = g.flags.tobytes().translate(_FLAG_LETTERS).decode("ascii")
+        return [head + f'"flags": "{flags}"\n    }}']
+    return [head + '"angles": [\n        ', next(angle_items), "\n      ]\n    }"]
 
 
 def emit_json(circuit: Circuit) -> str:
     """The circuit as JSON, in the bytes json.dumps(..., indent=2) writes for it.
 
-    Built as one string: json.dumps with an indent runs the pure-Python
-    encoder, which spends most of its time on the angle lists.
+    Built from parts joined once: json.dumps with an indent runs the
+    pure-Python encoder, which spends most of its time on the angle lists.
     """
-    gates = _json_list([_json_gate(g) for g in circuit.gates], " " * 4)
-    return f'{{\n  "n_qubits": {circuit.n_qubits},\n  "gates": ' + gates + "\n}"
+    angle_items = iter(_json_items([g.angles for g in circuit.gates if isinstance(g, UniformRotation)]))
+    parts = [f'{{\n  "n_qubits": {circuit.n_qubits},\n  "gates": [']
+    for g in circuit.gates:
+        parts.append(",\n    " if len(parts) > 1 else "\n    ")
+        parts += _json_gate(g, angle_items)
+    parts.append("\n  ]\n}" if circuit.gates else "]\n}")
+    return "".join(parts)
 
 
 def parse_json(text: str) -> Circuit:
@@ -627,37 +775,43 @@ def parse_json(text: str) -> Circuit:
         for spec in obj["gates"]:
             kind = spec["kind"]
             if kind in ("ry", "rz"):
-                gates.append(
-                    UniformRotation(
-                        Axis.Y if kind == "ry" else Axis.Z,
-                        *_qubits_of(spec),
-                        np.array(spec["angles"], dtype=np.float64),
-                    )
-                )
+                axis = Axis.Y if kind == "ry" else Axis.Z
+                gates.append(UniformRotation(axis, *_qubits_of(spec), _numbers(spec["angles"])))
             elif kind == "pi":
-                gates.append(
-                    PiGate(*_qubits_of(spec), np.array([ch == "Y" for ch in spec["flags"]]))
-                )
+                flags = spec["flags"]
+                if type(flags) is not str or flags.strip("YN"):
+                    raise ValueError(f"flags must be Y or N, got {flags!r}")
+                gates.append(PiGate(*_qubits_of(spec), np.frombuffer(flags.encode(), np.uint8) == ord("Y")))
             elif kind == "phase":
-                gates.append(GlobalPhase(float(spec["phase"])))
+                gates.append(GlobalPhase(float(_number(spec["phase"]))))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         return Circuit(_index(obj["n_qubits"]), tuple(gates))
     except NonFiniteAngleError as exc:  # worded like the other malformed values
         raise JsonFormatError(f"malformed circuit JSON: {ValueError(str(exc))!r}") from exc
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise JsonFormatError(f"malformed circuit JSON: {exc!r}") from exc
 
 
 def _qubits_of(spec: dict) -> tuple[int, tuple[int, ...]]:
-    return _index(spec["target"]), tuple(_index(c) for c in spec["controls"])
+    return _index(spec["target"]), tuple(map(_index, spec["controls"]))
 
 
-def _index(value) -> int:
-    """A JSON qubit index or count; floats and booleans are not integers here."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
+# what json.loads makes of a JSON number; true, false and "1.5" are no numbers here
+_JSON_NUMBERS = frozenset({int, float})
+
+
+def _number(value) -> int | float:
+    if type(value) not in _JSON_NUMBERS:
+        raise TypeError(f"expected a number, got {value!r}")
     return value
+
+
+def _numbers(values: list) -> list:
+    """A JSON angle list, after one type pass over it."""
+    if not _JSON_NUMBERS.issuperset(map(type, values)):
+        _number(next(v for v in values if type(v) not in _JSON_NUMBERS))
+    return values
 
 
 # --- LaTeX ------------------------------------------------------------------

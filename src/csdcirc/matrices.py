@@ -154,17 +154,26 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return (values.view(np.complex128) if is_complex else values).reshape(d, d)
 
 
+def _index(value) -> int:
+    """A JSON dimension, qubit index or count; floats and booleans are not integers here."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_matrix_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-        d = int(obj["dim"])
+        d = _index(obj["dim"])
+        real = obj.get("real", False)
+        if type(real) is not bool:
+            raise TypeError(f"real must be true or false, got {real!r}")
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, found {len(entries)}")
         flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
         a = flat.reshape(d, d)
-        real = obj.get("real", False)
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise JsonFormatError(f"malformed matrix JSON: {exc!r}") from exc
     if real:
         return np.ascontiguousarray(a.real)

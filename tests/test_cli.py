@@ -211,10 +211,25 @@ BAD_CIRCUITS = {
     "control-float": lambda c: c["gates"][1].update(controls=[1.9]),
     "control-bool": lambda c: c["gates"][0].update(controls=[True]),
     "n-qubits-float": lambda c: c.update(n_qubits=2.7),
+    "flags-letter": lambda c: c["gates"][1].update(flags="NQ"),
+    "flags-list": lambda c: c["gates"][1].update(flags=["N", "Y"]),
+    "angle-string": lambda c: c["gates"][0].update(angles=["0.5", 0.2]),
+    "angle-bool": lambda c: c["gates"][0].update(angles=[True, 0.2]),
+    "angle-huge-int": lambda c: c["gates"][0].update(angles=[10**400, 0.2]),
+    "angles-string": lambda c: c["gates"][0].update(angles="ab"),
+    "phase-string": lambda c: c["gates"][2].update(phase="1.5"),
+    "phase-bool": lambda c: c["gates"][2].update(phase=True),
+    "phase-huge-int": lambda c: c["gates"][2].update(phase=10**400),
 }
 BAD_MATRICES = {
     "entries-int": {"dim": 1, "real": False, "entries": 5},
     "entry-null": {"dim": 1, "real": False, "entries": [[None, 0]]},
+    "entry-huge-int": {"dim": 1, "real": False, "entries": [[10**400, 0]]},
+    "dim-infinity": {"dim": float("inf"), "real": False, "entries": [[1, 0]]},
+    "dim-float": {"dim": 1.5, "real": False, "entries": [[1, 0]]},
+    "dim-bool": {"dim": True, "real": False, "entries": [[1, 0]]},
+    "real-string": {"dim": 1, "real": "no", "entries": [[1, 0]]},
+    "real-int": {"dim": 1, "real": 1, "entries": [[1, 0]]},
 }
 
 

@@ -196,11 +196,42 @@ def json_dumps_reference(circuit) -> str:
     return json.dumps({"n_qubits": circuit.n_qubits, "gates": gates}, indent=2)
 
 
+def rotations(angles, n=10) -> Circuit:
+    """The angles in order as uniformly controlled rotations on n qubits, each as large as fits."""
+    angles = np.asarray(angles, np.float64)
+    gates = []
+    start = 0
+    while start < angles.size:
+        k = min(n - 1, (angles.size - start).bit_length() - 1)
+        axis = Axis.Y if k % 2 else Axis.Z
+        gates.append(UniformRotation(axis, 1, tuple(range(2, k + 2)), angles[start : start + (1 << k)]))
+        start += 1 << k
+    return Circuit(n, tuple(gates))
+
+
+def adversarial_json_angles() -> np.ndarray:
+    """Angles at the JSON pass's edges, with both signs, then random angles after them."""
+    powers = np.concatenate([2.0 ** np.arange(-70, 5), 10.0 ** np.arange(-292, 17)])
+    short = [float(f"{d}.{'7' * j}") for d in range(1, 10) for j in range(14)]  # 1 to 14 digits
+    short += [float(f"0.{'0' * z}{'3' * j}") for z in range(6) for j in range(1, 15)]
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-290, 1e-4, 1e-5, 1e16, 9999999999999998.0]
+    edges += [np.pi, 10.0, 1 + 2.0**-17, 8 + 2.0**-16, 1e300]
+    values = np.concatenate([powers, short, edges])
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    values = np.concatenate([values, -values])
+    rng = np.random.default_rng(9)
+    return np.concatenate([values, rng.uniform(-np.pi, np.pi, 2048 - values.size % 1024)])
+
+
 @pytest.mark.parametrize(
     "circuit",
     [
         Circuit(3, ()),
         Circuit(0, (GlobalPhase(-0.0),)),
+        rotations(adversarial_json_angles()),
+        rotations(np.linspace(-np.pi, np.pi, emitters._VECTOR_MIN - 1)),
+        rotations(np.linspace(-np.pi, np.pi, emitters._VECTOR_MIN)),
+        rotations(np.linspace(-np.pi, np.pi, emitters._VECTOR_MIN + 1)),
         Circuit(
             3,
             (
@@ -211,7 +242,15 @@ def json_dumps_reference(circuit) -> str:
             ),
         ),
     ],
-    ids=["empty", "phase-only", "mixed"],
+    ids=[
+        "empty",
+        "phase-only",
+        "adversarial",
+        "below-vector-min",
+        "at-vector-min",
+        "above-vector-min",
+        "mixed",
+    ],
 )
 def test_emit_json_writes_the_bytes_of_json_dumps(circuit):
     assert emit_json(circuit) == json_dumps_reference(circuit)
@@ -548,6 +587,138 @@ def test_exact_round_trip_across_chunks():
     text = emit_text(circ, "exact")
     assert parse_text(text) == circ
     assert emit_text(parse_text(text), "exact") == text
+
+
+# --- the JSON pass against repr --------------------------------------------------
+
+
+def near_half_ulp(count: int, top: int) -> list[float]:
+    """Doubles in [top/2, top), top 1 or 2, with a bound of their rounding
+    interval (x +- ulp/2) within 5**(17 - count) * 2**-37 of a decimal of
+    count digits, in units of the 17th digit: below 1e-9, so inside the
+    pass's margin.
+
+    x = m * 2**(top - 54) has its bound at v * 5**k * 2**-37 in those units,
+    k = 18 - top and v = 2m +- 1; the decimal is a multiple of
+    10**(17 - count), which comes closest where v * 5**(k - 17 + count) is
+    +-1 modulo 2**(54 - count).
+    """
+    modulus = 2 ** (54 - count)
+    inverse = pow(5, top - 1 - count, modulus)
+    values = []
+    for residue in (inverse, modulus - inverse):
+        first = residue + modulus * -(-(2**53 - residue) // modulus)
+        for v in range(first, first + 40 * modulus, modulus):
+            values += [(v - 1) / 2 ** (55 - top), (v + 1) / 2 ** (55 - top)]
+    return values
+
+
+# (count, top) of near_half_ulp where the decimal is the nearest of its
+# length: the half ulp, 1.11 in [1, 2) and 5.55 in [0.5, 1), is below half
+# its spacing.  In [0.5, 1) a 15-digit decimal at the bound is not the
+# nearest multiple of 10, so only the 15-digit check can catch it.
+NEAR_BOUNDS = [(14, 2), (15, 2), (16, 2), (14, 1), (15, 1)]
+
+
+def half_ulp_gap(x: float, count: int) -> Fraction:
+    """For x in [0.5, 2): distance of the nearer bound of its rounding
+    interval from a decimal of count digits, in units of the 17th digit."""
+    unit = 10 ** (17 - count)
+    half = Fraction(np.spacing(x)) / 2
+    scaled = [(Fraction(x) + side * half) * 10 ** (16 if x >= 1 else 17) for side in (-1, 1)]
+    return min(abs(b - round(b / unit) * unit) for b in scaled)
+
+
+@pytest.fixture(scope="module")
+def json_values(oracle_angles) -> np.ndarray:
+    """The exact codec's oracle angles, random bit patterns, short decimals and the pass's edge cases."""
+    rng = np.random.default_rng(10)
+    bits = rng.integers(0, 2**63, 200_000, dtype=np.uint64).view(np.float64)
+    scale = 10.0 ** rng.integers(1, 16, 50_000)
+    short = np.rint(rng.uniform(0, 10, 50_000) * scale) / scale  # up to 16 digits
+    near = [x for count, top in NEAR_BOUNDS for x in near_half_ulp(count, top)]
+    values = np.concatenate([oracle_angles, bits[np.isfinite(bits)], short, near, adversarial_json_angles()])
+    return np.concatenate([values, -values[: values.size // 2]])
+
+
+def test_near_half_ulp_values_are_near_the_bound():
+    for count, top in NEAR_BOUNDS:
+        values = near_half_ulp(count, top)
+        assert len(values) == 160 and all(top / 2 < x < top for x in values)
+        assert max(half_ulp_gap(x, count) for x in values) < Fraction(1, 10**9)
+
+
+def test_numpy_json_matches_repr(json_values):
+    assert json_values.size > 10**6
+    cuts = np.cumsum(np.random.default_rng(11).integers(1, 5000, json_values.size // 1000))
+    payloads = np.split(json_values, cuts[cuts < json_values.size])
+    items = emitters._json_items(payloads)
+    want = [emitters._JSON_SEP.join(map(repr, p.tolist())) for p in payloads]
+    assert len(items) == len(want)
+    bad = [(got, line) for got, line in zip(items, want) if got != line]
+    assert not bad, bad[0]
+
+
+def test_json_pass_takes_every_route(json_values):
+    mag = np.abs(json_values)
+    fast = (mag >= emitters._JSON_MIN) & (mag < emitters._JSON_MAX)
+    _, blank, _, exact = emitters._shortest_digits(np.where(fast, mag, 1.0))
+    taken = fast & exact
+    reprs = [repr(v) for v in mag[fast].tolist()]
+    lengths = np.array([len(r.split("e")[0].replace(".", "").lstrip("0")) for r in reprs])
+    # the pass writes 15, 16 and 17 digits, each as repr does
+    for count in (15, 16, 17):
+        assert np.count_nonzero(taken & (blank == 17 - count)) > 1000
+    assert np.array_equal(17 - blank[taken], lengths[taken[fast]])
+    # and leaves to repr: zeros (constant rows), magnitudes out of range,
+    # powers of two, 14 digits or fewer, and ties and near-bounds
+    assert np.count_nonzero(mag == 0) > 100
+    assert np.count_nonzero(~fast & (mag > 0) & (mag < 1)) > 100 and np.count_nonzero(mag >= 10) > 100
+    power = fast & (mag.view(np.int64) & (2**52 - 1) == 0)
+    assert np.count_nonzero(power) > 100 and not taken[power].any()
+    assert np.count_nonzero(lengths <= 14) > 1000 and not taken[fast][lengths <= 14].any()
+    ties = np.array([1 + 2.0**-17, 8 + 2.0**-16])  # halfway between two decimals of 17 and of 16 digits
+    assert Fraction(ties[0]) * 10**16 % 1 == Fraction(1, 2) and Fraction(ties[1]) * 10**16 % 10 == 5
+    assert [repr(x) for x in ties.tolist()] == ["1.0000076293945312", "8.000015258789062"]
+    near = np.array([x for count, top in NEAR_BOUNDS for x in near_half_ulp(count, top)])
+    for hard in (ties, near):
+        assert not emitters._shortest_digits(hard)[3].any()
+
+
+def test_emit_json_matches_json_dumps_on_drawn_circuits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-4, 4),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-4, 1e-5, np.pi, -np.pi, 0.5, 10.0, 1 + 2.0**-17]),
+    )
+
+    @st.composite
+    def circuits(draw):
+        gates = []
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(["ry", "rz", "pi", "phase"]))
+            if kind == "phase":
+                gates.append(GlobalPhase(draw(number)))
+                continue
+            k = draw(st.integers(0, 8))
+            controls = tuple(range(2, k + 2))
+            payload = st.lists(st.booleans() if kind == "pi" else number, min_size=1 << k, max_size=1 << k)
+            if kind == "pi":
+                gates.append(PiGate(1, controls, draw(payload)))
+            else:
+                gates.append(UniformRotation(Axis.Y if kind == "ry" else Axis.Z, 1, controls, draw(payload)))
+        return Circuit(9, tuple(gates))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(circuits())
+    def check(circuit):
+        text = emit_json(circuit)
+        assert text == json_dumps_reference(circuit)
+        assert parse_json(text) == circuit
+
+    check()
 
 
 BIG_RECORD = "GATEY\n  1;" + "".join(f"{c:3d}," for c in range(2, 18)) + " 18\n" + "  0.1" * (1 << 17)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from csdcirc.errors import NotSquareError, NotUnitaryError
+from csdcirc.errors import JsonFormatError, NotSquareError, NotUnitaryError
 from csdcirc.matrices import (
     Tolerances,
     certify_unitary,
@@ -140,3 +140,38 @@ def test_parse_matrix_json_reads_the_file_format():
     back = parse_matrix_json(text)
     assert back.dtype == np.float64
     assert np.array_equal(back, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": Infinity, "entries": [[1, 0]]}',
+        '{"dim": 1.5, "entries": [[1, 0]]}',
+        '{"dim": 1.0, "entries": [[1, 0]]}',
+        '{"dim": true, "entries": [[1, 0]]}',
+        '{"dim": "1", "entries": [[1, 0]]}',
+        '{"dim": 1, "real": "no", "entries": [[1, 0]]}',
+        '{"dim": 1, "real": 0, "entries": [[1, 0]]}',
+        '{"dim": 1, "real": null, "entries": [[1, 0]]}',
+        '{"dim": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
+    ],
+    ids=[
+        "dim-inf",
+        "dim-1.5",
+        "dim-1.0",
+        "dim-true",
+        "dim-str",
+        "real-str",
+        "real-int",
+        "real-null",
+        "entry-huge",
+    ],
+)
+def test_parse_matrix_json_rejects_non_integer_dim_and_non_bool_real(text):
+    with pytest.raises(JsonFormatError):
+        parse_matrix_json(text)
+
+
+def test_parse_matrix_json_real_defaults_to_false():
+    back = parse_matrix_json('{"dim": 1, "entries": [[0.5, 0]]}')
+    assert back.dtype == np.complex128 and back[0, 0] == 0.5
