@@ -44,7 +44,7 @@ from .errors import (
     TextSyntaxError,
 )
 from .gates import Axis, Circuit, GlobalPhase, PiGate, UniformRotation
-from .matrices import _index
+from .matrices import _index, _number, _numbers
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
 # Digits for exact mode: enough that turn -> radians reproduces the float64
@@ -252,7 +252,7 @@ def _token_rows(angles: np.ndarray) -> np.ndarray:
     mag = np.abs(angles)
     fast = (mag >= _EMIT_MIN) & (mag <= _EMIT_MAX)
     hi, lo, places, exact = _turn_digits(np.where(fast, mag, 1.0))
-    rows = _TEMPLATES[places]
+    rows = np.take(_TEMPLATES, places, axis=0)
     rows[:, 2] = np.where(angles < 0, ord("-"), _PAD)
     lead, top = np.divmod(hi, 10**12)
     rows[:, _D1] = lead + ord("0")
@@ -795,23 +795,6 @@ def parse_json(text: str) -> Circuit:
 
 def _qubits_of(spec: dict) -> tuple[int, tuple[int, ...]]:
     return _index(spec["target"]), tuple(map(_index, spec["controls"]))
-
-
-# what json.loads makes of a JSON number; true, false and "1.5" are no numbers here
-_JSON_NUMBERS = frozenset({int, float})
-
-
-def _number(value) -> int | float:
-    if type(value) not in _JSON_NUMBERS:
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
-def _numbers(values: list) -> list:
-    """A JSON angle list, after one type pass over it."""
-    if not _JSON_NUMBERS.issuperset(map(type, values)):
-        _number(next(v for v in values if type(v) not in _JSON_NUMBERS))
-    return values
 
 
 # --- LaTeX ------------------------------------------------------------------

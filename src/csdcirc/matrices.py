@@ -161,6 +161,23 @@ def _index(value) -> int:
     return value
 
 
+# what json.loads makes of a JSON number; true, false and "1.5" are no numbers here
+_JSON_NUMBERS = frozenset({int, float})
+
+
+def _number(value) -> int | float:
+    if type(value) not in _JSON_NUMBERS:
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _numbers(values: list) -> list:
+    """A list of JSON numbers, after one type pass over it."""
+    if not _JSON_NUMBERS.issuperset(map(type, values)):
+        _number(next(v for v in values if type(v) not in _JSON_NUMBERS))
+    return values
+
+
 def parse_matrix_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
@@ -171,6 +188,7 @@ def parse_matrix_json(text: str) -> np.ndarray:
         entries = obj["entries"]
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, found {len(entries)}")
+        _numbers(list(itertools.chain.from_iterable(entries)))
         flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
         a = flat.reshape(d, d)
     except (TypeError, KeyError, ValueError, OverflowError) as exc:

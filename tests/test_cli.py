@@ -224,6 +224,9 @@ BAD_CIRCUITS = {
 BAD_MATRICES = {
     "entries-int": {"dim": 1, "real": False, "entries": 5},
     "entry-null": {"dim": 1, "real": False, "entries": [[None, 0]]},
+    "entry-bools": {"dim": 1, "real": False, "entries": [[True, False]]},
+    "entry-imag-bool": {"dim": 1, "real": True, "entries": [[1, False]]},
+    "entry-string": {"dim": 1, "real": False, "entries": [["1", 0]]},
     "entry-huge-int": {"dim": 1, "real": False, "entries": [[10**400, 0]]},
     "dim-infinity": {"dim": float("inf"), "real": False, "entries": [[1, 0]]},
     "dim-float": {"dim": 1.5, "real": False, "entries": [[1, 0]]},

@@ -323,3 +323,118 @@ def test_square_walk_maps_first_basis_state():
     expect = np.zeros(8, dtype=complex)
     expect[6] = 1.0  # arc (1,2) steps to arc (4,1)
     assert np.abs(out - expect).max() < 1e-12
+
+
+# --- fused runs ---------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _field(circ: Circuit, psi) -> np.ndarray:
+    """A C-ordered copy of psi in the dtype apply_to_state evaluates in."""
+    real = gates._is_real(circ.gates) and not np.iscomplexobj(psi)
+    return np.array(psi, dtype=np.float64 if real else np.complex128, order="C")
+
+
+def _gate_by_gate(circ: Circuit, psi) -> np.ndarray:
+    v = _field(circ, psi)
+    for g in circ.gates:
+        gates._apply_gate(v, g, circ.n_qubits)
+    return v
+
+
+def _every_run_fused(circ: Circuit, psi) -> np.ndarray:
+    """apply_to_state with every run fused, whatever its length or the state's width."""
+    v = _field(circ, psi)
+    for run in gates._runs(circ.gates):
+        if run and isinstance(run[0], GlobalPhase):
+            gates._apply_gate(v, run[0], circ.n_qubits)
+        elif run:
+            v = gates._apply_run(v, run, circ.n_qubits)
+    return v
+
+
+def _gate_bound(circ: Circuit, psi) -> float:
+    """8 eps times the largest column norm, per gate: each column evolves on its own."""
+    norm = np.linalg.norm(np.reshape(psi, (circ.dim, -1)), axis=0).max(initial=0.0)
+    return 8 * EPS * norm * len(circ.gates)
+
+
+def test_runs_split_greedily_and_a_global_phase_never_ends_one():
+    def ry(target):
+        return UniformRotation(Axis.Y, target, (), [0.1])
+
+    circ = Circuit(5, (ry(1), ry(2), GlobalPhase(0.5), ry(3), ry(4), ry(1), ry(5), ry(2)))
+    runs = list(gates._runs(circ.gates))
+    assert [[getattr(g, "target", 0) for g in run] for run in runs] == [
+        [0],
+        [1, 2, 3, 4, 1],
+        [5, 2],
+    ]
+
+
+def test_fused_runs_match_the_gate_kernel():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 9), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # a small pool of targets anywhere in the register makes long runs on
+        # scattered, non-trailing qubits
+        pool = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6, unique=True))
+        kinds = data.draw(st.lists(st.sampled_from("yzpg"), max_size=14), label="kinds")
+        circuit_gates, real_circuit = [], "z" not in kinds
+        for kind in kinds:
+            if kind == "g":
+                phase = data.draw(st.sampled_from([0.0, np.pi, -np.pi, 0.7]))
+                circuit_gates.append(GlobalPhase(phase))
+                real_circuit &= phase != 0.7
+                continue
+            target = int(rng.choice(pool))
+            others = [q for q in range(1, n + 1) if q != target]
+            controls = tuple(int(q) for q in rng.permutation(others)[: rng.integers(0, n)])
+            size = 1 << len(controls)
+            if kind == "p":
+                circuit_gates.append(PiGate(target, controls, rng.integers(0, 2, size) > 0))
+            else:
+                angles = rng.uniform(-3, 3, size)
+                axis = Axis.Y if kind == "y" else Axis.Z
+                circuit_gates.append(UniformRotation(axis, target, controls, angles))
+        circ = Circuit(n, tuple(circuit_gates))
+        shape = data.draw(st.sampled_from([(1 << n,), (1 << n, 3), (1 << n, 64)]), label="shape")
+        psi = rng.normal(size=shape)
+        if data.draw(st.booleans(), label="complex input"):
+            psi = psi + 1j * rng.normal(size=shape)
+
+        expect = _gate_by_gate(circ, psi)
+        real = real_circuit and not np.iscomplexobj(psi)
+        assert expect.dtype == (np.float64 if real else np.complex128)
+        bound = _gate_bound(circ, psi)
+        for out in (_every_run_fused(circ, psi), apply_to_state(circ, psi)):
+            assert out.dtype == expect.dtype and out.shape == psi.shape
+            assert np.abs(out - expect).max() <= bound
+        if n <= gates._BLOCK_QUBITS or psi.size >> n < gates._MIN_FUSE_COLUMNS:
+            assert np.array_equal(apply_to_state(circ, psi), expect)
+
+    check()
+
+
+def test_fused_walk_circuit_matches_the_gate_kernel():
+    from csdcirc.decompose import compile_real
+    from csdcirc.matrices import pad_to_power_of_two
+    from csdcirc.qwalk import random_graph, walk_unitary
+
+    op, _ = walk_unitary(random_graph(28, 251, seed=0))
+    w, n = pad_to_power_of_two(op)
+    circ = compile_real(recursive_csd(w))
+    assert n == 8
+    eye = np.eye(w.dim)
+    rebuilt = circuit_matrix(circ).mat
+    assert rebuilt.dtype == np.float64
+    expect = _gate_by_gate(circ, eye)
+    assert np.abs(rebuilt - expect).max() <= _gate_bound(circ, eye)
+    residual = verify(circ, w)
+    assert residual <= 2 * np.abs(expect - w.mat).max()

@@ -172,6 +172,21 @@ def test_parse_matrix_json_rejects_non_integer_dim_and_non_bool_real(text):
         parse_matrix_json(text)
 
 
+@pytest.mark.parametrize(
+    "dim, entries",
+    [
+        (1, "[[true, false]]"),
+        (2, "[[1, 0], [0, 0], [0, 0], [1, true]]"),
+        (1, '[[1, "0"]]'),
+        (1, "[[[1], 0]]"),
+    ],
+    ids=["bools", "last-imag-bool", "string", "list"],
+)
+def test_parse_matrix_json_entries_must_be_numbers(dim, entries):
+    with pytest.raises(JsonFormatError, match="expected a number"):
+        parse_matrix_json(f'{{"dim": {dim}, "entries": {entries}}}')
+
+
 def test_parse_matrix_json_real_defaults_to_false():
     back = parse_matrix_json('{"dim": 1, "entries": [[0.5, 0]]}')
     assert back.dtype == np.complex128 and back[0, 0] == 0.5
