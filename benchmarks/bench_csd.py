@@ -1,11 +1,12 @@
-"""Compare the CSD kernel routes on random orthogonal matrices.
+"""Time LAPACK's CSD against the batched route on both sides of its size rule.
 
-The package routes real blocks of dimension >= 512 through an SVD-composite
-construction, well-separated blocks of dimension >= 16 below that through a
-batched route over the whole stack, and the rest through LAPACK's CSD one
-block at a time.  This benchmark times all three on the same inputs and
-reports reconstruction residuals; the batched row splits the inputs as one
-stack and reports its time per block.
+Blocks of dimension >= 16 take the package's batched route: below
+SVD_ROUTE_MIN_DIM only the well-separated ones, from there up every block.
+This benchmark times per-block LAPACK (xORCSD) and the batched route on the
+same stacks of two kinds: random orthogonal blocks, which are separated, and
+the padded step operator of a random walk, whose angles form large clusters
+at 0 and pi/2.  For each it reports the time per block (factors,
+canonicalisation and the reconstruction check) and the worst residual.
 """
 
 import argparse
@@ -14,30 +15,29 @@ import time
 import numpy as np
 from scipy.stats import ortho_group
 
-from csdcirc.csd import (
-    _canonicalize,
-    _csd_batched,
-    _csd_cossin,
-    _csd_svd_real,
-    _reconstruction_residual,
-)
-from csdcirc.matrices import Tolerances
+from csdcirc.csd import _csd_batched, _csd_per_block
+from csdcirc.matrices import Tolerances, pad_to_power_of_two
+from csdcirc.qwalk import random_graph, walk_unitary
 
 
-def bench(dim: int, repeats: int, seed: int):
-    blocks = np.stack([ortho_group.rvs(dim, random_state=seed + r) for r in range(repeats)])
+def stack(kind: str, dim: int, repeats: int, seed: int) -> np.ndarray:
+    if kind == "orthogonal":
+        return np.stack([ortho_group.rvs(dim, random_state=seed + r) for r in range(repeats)])
+    # a walk with between dim/2 and dim arcs pads to dim
+    arcs, nodes = dim - dim // 8 - 1, int(np.sqrt(dim)) + 2
+    ops = (walk_unitary(random_graph(nodes, arcs, seed=seed + r))[0] for r in range(repeats))
+    return np.stack([pad_to_power_of_two(op)[0].as_real() for op in ops])
+
+
+def bench(dim: int, repeats: int, seed: int, kind: str = "orthogonal"):
+    """(route, seconds per block, worst residual) for LAPACK and the batched route."""
+    blocks = stack(kind, dim, repeats, seed)
     rows = []
-    for route_name, route in (("lapack", _csd_cossin), ("svd", _csd_svd_real)):
-        times, residuals = [], []
-        for a in blocks:
-            t0 = time.perf_counter()
-            factors = _canonicalize(*route(a))
-            times.append(time.perf_counter() - t0)
-            residuals.append(_reconstruction_residual(a, *factors))
-        rows.append((route_name, min(times), max(residuals)))
-    t0 = time.perf_counter()
-    _, residuals = _csd_batched(blocks, Tolerances())
-    rows.insert(1, ("batched", (time.perf_counter() - t0) / repeats, residuals.max()))
+    for route_name, route in (("lapack", _csd_per_block), ("batched", _csd_batched)):
+        args = (blocks,) if route is _csd_per_block else (blocks, Tolerances())
+        t0 = time.perf_counter()
+        _, residuals = route(*args)
+        rows.append((route_name, (time.perf_counter() - t0) / repeats, residuals.max()))
     return rows
 
 
@@ -48,10 +48,11 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    print(f"{'dim':>6} {'route':>8} {'best time':>12} {'worst residual':>16}")
+    print(f"{'dim':>6} {'input':>10} {'route':>8} {'ms/block':>10} {'worst residual':>16}")
     for dim in (int(d) for d in args.dims.split(",")):
-        for route_name, best, worst in bench(dim, args.repeats, args.seed):
-            print(f"{dim:>6} {route_name:>8} {best:>11.3f}s {worst:>16.2e}")
+        for kind in ("orthogonal", "walk"):
+            for route_name, seconds, worst in bench(dim, args.repeats, args.seed, kind):
+                print(f"{dim:>6} {kind:>10} {route_name:>8} {1e3 * seconds:>10.3f} {worst:>16.2e}")
 
 
 if __name__ == "__main__":

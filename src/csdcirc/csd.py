@@ -22,23 +22,23 @@ by block size m:
   the complete CS decomposition", Numer. Algorithms 50, 2009), one raw call
   per block, with the routine and its workspace size looked up once per
   chunk of the stack.
-* m >= 16, complex or real below SVD_ROUTE_MIN_DIM: a batched route for
-  well-separated blocks (C. F. Van Loan, "Computing the CS and the
+* m >= 16: a batched route after Van Loan ("Computing the CS and the
   generalized singular value decompositions", Numer. Math. 46, 1985).  One
-  stacked SVD of the top-left quadrants gives u, theta and x; a block with
-  a theta cluster within DEGEN_EPS, or a theta at 0 or pi/2, is not
-  separated and goes to LAPACK.  A QR factorisation of the top quadrants
-  finds most blocks of the last kind, walk blocks above all, without the
-  SVD.  Separated blocks take v and y from one stacked SVD of the
-  bottom-right quadrants, each pair phase-matched through the top-right
-  quadrant.
-* real m >= SVD_ROUTE_MIN_DIM: a composite of SVDs, one block at a time.
+  stacked SVD of the top-left quadrants gives u, theta and x.  Where sin
+  theta > 1/2, v and y follow from the off-diagonal quadrants divided by
+  sin theta; the rest come from a stacked SVD of the bottom-right residual,
+  phase-matched through the top-right quadrant.  Below SVD_ROUTE_MIN_DIM
+  only well-separated blocks take it: a block with a theta cluster within
+  DEGEN_EPS, or a theta at 0 or pi/2, goes to LAPACK, and a QR
+  factorisation of the top quadrants finds most blocks of the last kind,
+  walk blocks above all, without the SVD.  From SVD_ROUTE_MIN_DIM up every
+  block takes it, where it beats LAPACK.
 
 Canonicalisation and the reconstruction check each run once over a chunk.
 Chunks bound the temporaries of these batched steps, which would otherwise
-grow with the whole level.  A block that the batched or SVD route leaves
-above the reconstruction tolerance is redone by LAPACK, so route selection
-never affects correctness.
+grow with the whole level.  A block that the batched route leaves above the
+reconstruction tolerance is redone by LAPACK, and so is a chunk where an SVD
+does not converge, so route selection never affects correctness.
 """
 
 from __future__ import annotations
@@ -55,26 +55,14 @@ DEGEN_EPS = 1e-8
 # below this the phase tie through an off-diagonal block is pure noise and
 # the gauge genuinely decouples
 GAUGE_EPS = 1e-13
-# real blocks at least this large take the SVD-composite route
+# blocks at least this large take the batched route without the separation
+# screens: there it beats LAPACK on every block, degenerate or not
 SVD_ROUTE_MIN_DIM = 512
-# blocks at least this large (and below the SVD route) try the batched route
+# blocks at least this large take the batched route where they are separated
 BATCHED_MIN_DIM = 16
 # the batched routes take a stack this many entries at a time, so their
 # temporaries stay small next to a whole recursion level's stack
 _CHUNK_ENTRIES = 1 << 18
-
-
-def _csd_blocks(a: np.ndarray, tol: Tolerances):
-    """SVD-composite CSD of one large real block, LAPACK where it falls short."""
-    try:
-        factors = _canonicalize(*_csd_svd_real(a))
-        if _reconstruction_residual(a, *factors) <= tol.reconstruct:
-            return factors
-    except np.linalg.LinAlgError:  # an SVD that does not converge
-        pass
-    factors = _canonicalize(*_csd_cossin(a))
-    _require(_reconstruction_residual(a, *factors), tol)
-    return factors
 
 
 def split_stack(blocks: np.ndarray, tol: Tolerances):
@@ -82,8 +70,10 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
 
     Returns (lefts, theta, rights) where lefts/rights stack the u, v / x, y
     factors of block b at positions 2b, 2b+1, and theta concatenates the
-    per-block angle vectors in block order.  A stack holding NaN or inf fails
-    before any route runs: LAPACK iterates to its limit on such a block.
+    per-block angle vectors in block order.  The stack goes to its route a
+    chunk at a time, every chunk by the same rule of block size.  A stack
+    holding NaN or inf fails before any route runs: LAPACK iterates to its
+    limit on such a block.
     """
     if not np.isfinite(blocks).all():
         raise NumericalFailureError(np.nan, tol.reconstruct)
@@ -92,26 +82,20 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     lefts = np.empty((k, 2, h, h), dtype=blocks.dtype)
     rights = np.empty_like(lefts)
     theta = np.empty((k, h))
-    if not np.iscomplexobj(blocks) and m >= SVD_ROUTE_MIN_DIM:
-        for b in range(k):
-            lefts[b, 0], lefts[b, 1], theta[b], rights[b, 0], rights[b, 1] = _csd_blocks(
-                blocks[b], tol
-            )
-    else:
-        step = max(1, _CHUNK_ENTRIES // (m * m))
-        for lo in range(0, k, step):
-            rows = slice(lo, lo + step)
-            if m == 2:
-                factors, residual = _csd_dim2_batch(blocks[rows])
-            elif m >= BATCHED_MIN_DIM:
-                factors, residual = _csd_batched(blocks[rows], tol)
-            else:
-                factors, residual = _csd_per_block(blocks[rows])
-            _require(residual, tol)
-            u, v, th, x, y = factors
-            lefts[rows, 0], lefts[rows, 1] = u.reshape(-1, h, h), v.reshape(-1, h, h)
-            rights[rows, 0], rights[rows, 1] = x.reshape(-1, h, h), y.reshape(-1, h, h)
-            theta[rows] = th.reshape(-1, h)
+    step = max(1, _CHUNK_ENTRIES // (m * m))
+    for lo in range(0, k, step):
+        rows = slice(lo, lo + step)
+        if m == 2:
+            factors, residual = _csd_dim2_batch(blocks[rows])
+        elif m >= BATCHED_MIN_DIM:
+            factors, residual = _csd_batched(blocks[rows], tol)
+        else:
+            factors, residual = _csd_per_block(blocks[rows])
+        _require(residual, tol)
+        u, v, th, x, y = factors
+        lefts[rows, 0], lefts[rows, 1] = u.reshape(-1, h, h), v.reshape(-1, h, h)
+        rights[rows, 0], rights[rows, 1] = x.reshape(-1, h, h), y.reshape(-1, h, h)
+        theta[rows] = th.reshape(-1, h)
     return lefts.reshape(2 * k, h, h), theta.reshape(-1), rights.reshape(2 * k, h, h)
 
 
@@ -123,22 +107,29 @@ def _require(residual: np.ndarray, tol: Tolerances):
 
 
 def _csd_batched(blocks: np.ndarray, tol: Tolerances):
-    """CSD of a (k, 2h, 2h) stack: batched where separated, LAPACK for the rest.
+    """CSD of a (k, 2h, 2h) stack: batched where it may, LAPACK for the rest.
 
     Returns the canonical factors and each block's reconstruction residual.
-    A block the batched route leaves above tol.reconstruct is redone by
-    LAPACK, so only the blocks that need it pay for a per-block call.
+    Below SVD_ROUTE_MIN_DIM only separated blocks take the batched route.  A
+    block it leaves above tol.reconstruct is redone by LAPACK, so only the
+    blocks that need it pay for a per-block call; an SVD that does not
+    converge sends the whole stack to LAPACK.
     """
-    k = blocks.shape[0]
-    live = _may_separate(blocks)
-    if not live.size:  # as on most large walk blocks
+    k, m, _ = blocks.shape
+    screen = m < SVD_ROUTE_MIN_DIM
+    live = _may_separate(blocks) if screen else np.arange(k)
+    if not live.size:  # as on most walk blocks below SVD_ROUTE_MIN_DIM
         return _csd_per_block(blocks)
-    separated, factors = _csd_van_loan(blocks, live)
-    residual = _reconstruction_residual(blocks[separated], *factors)
+    try:
+        taken, factors = _csd_van_loan(blocks, live, screen)
+    except np.linalg.LinAlgError:
+        return _csd_per_block(blocks)
+    factors = _canonicalize(*factors)
+    residual = _reconstruction_residual(_take(blocks, taken), *factors)
     done = residual <= tol.reconstruct
-    if done.all() and separated.size == k:
+    if done.all() and taken.size == k:
         return factors, residual
-    kept = separated[done]
+    kept = taken[done]
     rest = np.setdiff1d(np.arange(k), kept)
     redone, redone_residual = _csd_per_block(blocks[rest])
     out = tuple(np.empty((k, *f.shape[1:]), f.dtype) for f in redone)
@@ -169,35 +160,87 @@ def _may_separate(blocks: np.ndarray) -> np.ndarray:
     return live[_min_r(blocks[live, :h, :h]) > DEGEN_EPS / 2]
 
 
-def _csd_van_loan(blocks: np.ndarray, live: np.ndarray):
-    """Van Loan's CSD of the well-separated blocks among blocks[live].
+def _csd_van_loan(blocks: np.ndarray, live: np.ndarray, screen: bool):
+    """Van Loan's CSD of blocks[live], or with screen of its separated blocks.
 
-    Returns the indices of those blocks and their canonical factors.  A
-    block is separated when its theta are more than DEGEN_EPS apart and
-    their sin and cos exceed DEGEN_EPS.  Then X22 = v C y has distinct
-    singular values, so its SVD fixes each (v_i, y_i) pair up to one unit
-    phase, and X12 = u S y pins that phase: it is the phase of the i-th
-    diagonal entry of u^H X12 y'^H for the SVD's y'.
+    Returns the indices of the blocks it split and their factors, before
+    canonicalisation.  A block is separated when its theta are more than
+    DEGEN_EPS apart and their sin and cos exceed DEGEN_EPS.
 
-    The two SVDs resolve a pair of close angles each in its own way, which
-    costs X12 and X21 an error of about eps over the pair's angle gap; the
-    reconstruction check sends a block where that is too much to LAPACK.
+    u, theta and x come from the SVD of X11.  Where sin theta > 1/2 (theta
+    ascends, so this is a suffix), X12 = u S y and X21 = -v S x give the rows
+    of y and columns of v by division.  The rest span the residual of X22
+    with the known pairs taken out and projected off.  Its SVD fixes each
+    remaining (v_i, y_i) pair up to one unit phase, and X12 pins that phase:
+    it is the phase of the i-th diagonal entry of u^H X12 y'^H for the SVD's
+    y'.  Where those cos values agree within DEGEN_EPS, the SVD mixes their
+    pairs, and the unitary polar factor of that diagonal block of
+    u^H X12 y'^H undoes the mixing.
+
+    The two SVDs resolve a pair of close small-sin angles each in its own
+    way, which costs X12 and X21 an error of about eps times the pair's sin
+    gap over its cos gap, that is eps cot theta; the reconstruction check
+    sends a block where that is too much to LAPACK.
     """
     h = blocks.shape[1] // 2
-    u, theta, x, uh_x12 = _svd_top_left(blocks[live, :h, :h], blocks[live, :h, h:])
-    margins = np.concatenate((np.diff(theta, axis=-1), np.cos(theta), np.sin(theta)), axis=-1)
-    keep = (margins > DEGEN_EPS).all(axis=-1)
-    separated = live[keep]
-    v, _, y = np.linalg.svd(blocks[separated, h:, h:])
-    phase = _unit_phase(np.sum(uh_x12[keep] * y.conj(), axis=-1), np.ones(y.shape[:2], y.dtype))
-    y *= phase[..., :, None]
-    v *= phase.conj()[..., None, :]
-    return separated, _canonicalize(u[keep], v, theta[keep], x[keep], y)
+    a = _take(blocks, live)
+    u, sigma, x = np.linalg.svd(a[:, :h, :h])  # sigma descends, so theta ascends
+    uh_x12 = _herm(u) @ a[:, :h, h:]
+    # arccos of a singular value near 1 loses half the digits; the row norms
+    # of u^H X12 give sin(theta) with full absolute accuracy instead.
+    theta = np.arctan2(np.linalg.norm(uh_x12, axis=-1), np.clip(sigma, 0.0, 1.0))
+    c, s = np.cos(theta), np.sin(theta)
+    if screen:
+        margins = np.concatenate((np.diff(theta, axis=-1), c, s), axis=-1)
+        keep = np.flatnonzero((margins > DEGEN_EPS).all(axis=-1))
+        kept = (_take(f, keep) for f in (a, live, u, theta, x, uh_x12, c, s))
+        a, live, u, theta, x, uh_x12, c, s = kept
+    small = np.logical_and.accumulate(s <= 0.5, axis=-1)  # a prefix, as theta ascends
+    y = np.divide(uh_x12, s[..., :, None], out=np.zeros_like(uh_x12), where=~small[..., :, None])
+    v = np.divide(
+        -(a[:, h:, :h] @ _herm(x)),
+        s[..., None, :],
+        out=np.zeros_like(uh_x12),
+        where=~small[..., None, :],
+    )
+    if small.any():
+        resid = a[:, h:, h:] - (v * c[..., None, :]) @ y
+        resid -= v @ (_herm(v) @ resid)
+        resid -= (resid @ _herm(y)) @ y
+        v0, _, y0 = np.linalg.svd(resid)
+        phase = _unit_phase(np.sum(uh_x12 * y0.conj(), axis=-1), np.ones(c.shape, y.dtype))
+        y0 *= phase[..., :, None]
+        v0 *= phase.conj()[..., None, :]
+        for b, lo, hi in _small_clusters(c, small):
+            w, _, zh = np.linalg.svd(uh_x12[b, lo:hi] @ _herm(y0[b, lo:hi]))
+            p = w @ zh
+            y0[b, lo:hi] = p @ y0[b, lo:hi]
+            v0[b, :, lo:hi] = v0[b, :, lo:hi] @ _herm(p)
+        np.copyto(y, y0, where=small[..., :, None])
+        np.copyto(v, v0, where=small[..., None, :])
+    return live, (u, v, theta, x, y)
 
 
-def _csd_cossin(a: np.ndarray):
-    """LAPACK CSD of one block: the stacked kernel on a stack of one."""
-    return tuple(f[0] for f in _csd_lapack(a[None]))
+def _small_clusters(c: np.ndarray, small: np.ndarray):
+    """(block, lo, hi) for each run of two or more small-sin angles of a
+    (k, h) stack whose neighbouring cos values agree within DEGEN_EPS."""
+    close = (np.abs(np.diff(c, axis=-1)) <= DEGEN_EPS) & small[:, 1:]
+    for b in np.flatnonzero(close.any(axis=-1)):
+        # a run of close neighbours from lo to hi - 1 joins angles lo..hi
+        runs = np.flatnonzero(np.diff(close[b], prepend=False, append=False)).reshape(-1, 2)
+        for lo, hi in runs:
+            yield b, lo, hi + 1
+
+
+def _take(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """blocks[rows] for ascending indices rows, without the copy when rows is every block."""
+    return blocks if rows.size == blocks.shape[0] else blocks[rows]
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (a view for real input)."""
+    ah = np.swapaxes(a, -1, -2)
+    return ah.conj() if np.iscomplexobj(ah) else ah
 
 
 def _csd_lapack(blocks: np.ndarray):
@@ -242,72 +285,10 @@ def cossin(a: np.ndarray, csd, options: dict):
     return u1, u2, theta, v1h, v2h
 
 
-def _csd_svd_real(a: np.ndarray):
-    """SVD-composite CSD for real orthogonal blocks.
-
-    u, cos theta, x come from the SVD of the top-left block.  Rows of y and
-    columns of v divide the off-diagonal blocks by sin theta where that is
-    well-conditioned (sin > 1/2); the remaining subspace is completed from an
-    SVD of the residual of the bottom-right block, then rotated to satisfy
-    the top-right block via exact polar alignment per degenerate cluster.
-    """
-    m = a.shape[0] // 2
-    x21, x22 = a[m:, :m], a[m:, m:]
-    u, theta, xh, u_t_x12 = _svd_top_left(a[:m, :m], a[:m, m:])
-    c = np.cos(theta)
-    s = np.sin(theta)
-
-    small = s <= 0.5  # theta ascending, so the small-sin set is a prefix
-    m0 = int(np.count_nonzero(small))
-    y = np.empty((m, m))
-    v = np.empty((m, m))
-    y[m0:] = u_t_x12[m0:] / s[m0:, None]
-    v[:, m0:] = -(x21 @ xh.T)[:, m0:] / s[m0:]
-
-    if m0:
-        known_v, known_y = v[:, m0:], y[m0:]
-        resid = x22 - (known_v * c[m0:]) @ known_y
-        resid -= known_v @ (known_v.T @ resid)
-        resid -= (resid @ known_y.T) @ known_y
-        v0, _, y0 = np.linalg.svd(resid)
-        v0, y0 = v0[:, :m0], y0[:m0]
-        # Per cluster of equal-to-degenerate cos values, the orthogonal polar
-        # factor of (u^T X12) y0^T equals the exact basis correction.
-        g = u_t_x12[:m0] @ y0.T
-        for lo, hi in _clusters(c[:m0]):
-            w, _, zt = np.linalg.svd(g[lo:hi, lo:hi])
-            p = w @ zt
-            y0[lo:hi] = p @ y0[lo:hi]
-            v0[:, lo:hi] = v0[:, lo:hi] @ p.T
-        y[:m0] = y0
-        v[:, :m0] = v0
-    return u, v, theta, xh, y
-
-
-def _svd_top_left(x11: np.ndarray, x12: np.ndarray):
-    """u, theta, x from the SVD of X11 (one block or a stack), and u^H X12.
-
-    theta ascends as the singular values cos(theta) descend.
-    """
-    u, sigma, x = np.linalg.svd(x11)
-    uh = np.swapaxes(u, -1, -2)
-    uh_x12 = (uh.conj() if np.iscomplexobj(uh) else uh) @ x12
-    # arccos of a singular value near 1 loses half the digits; the row norms
-    # of u^H X12 give sin(theta) with full absolute accuracy instead.
-    theta = np.arctan2(np.linalg.norm(uh_x12, axis=-1), np.clip(sigma, 0.0, 1.0))
-    return u, theta, x, uh_x12
-
-
 def _min_r(x: np.ndarray) -> np.ndarray:
     """Smallest |r_jj| of the QR factorisation of each matrix of a stack."""
     r = np.linalg.qr(x, mode="r")
     return np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1)
-
-
-def _clusters(values: np.ndarray):
-    """Contiguous index ranges of values that agree within DEGEN_EPS."""
-    edges = [0, *list(np.flatnonzero(np.abs(np.diff(values)) > DEGEN_EPS) + 1), values.size]
-    return zip(edges[:-1], edges[1:])
 
 
 def _csd_dim2_batch(blocks: np.ndarray):

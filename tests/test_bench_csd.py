@@ -10,8 +10,9 @@ def test_bench_csd_runs_both_routes_at_a_small_dimension():
     spec = importlib.util.spec_from_file_location("bench_csd", SCRIPT)
     bench_csd = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_csd)
-    rows = bench_csd.bench(dim=16, repeats=2, seed=0)
-    assert [route for route, _, _ in rows] == ["lapack", "batched", "svd"]
-    for _, best, worst in rows:
-        assert best >= 0.0
-        assert worst < 1e-12
+    for kind in ("orthogonal", "walk"):
+        rows = bench_csd.bench(dim=16, repeats=2, seed=0, kind=kind)
+        assert [route for route, _, _ in rows] == ["lapack", "batched"]
+        for _, seconds, worst in rows:
+            assert seconds >= 0.0
+            assert worst < 1e-12

@@ -119,24 +119,49 @@ def test_anti_block_diagonal_is_safe():
     assert np.abs(reassemble(f) - u).max() < 1e-12
 
 
-def test_svd_route_agrees_with_lapack_route():
-    from csdcirc.csd import _csd_cossin, _csd_svd_real, _canonicalize, _reconstruction_residual
-
-    o = ortho_group.rvs(512, random_state=10)
-    fast = _canonicalize(*_csd_svd_real(o))
-    ref = _canonicalize(*_csd_cossin(o))
-    assert np.abs(fast[2] - ref[2]).max() < 1e-10  # theta is convention-free
-    assert _reconstruction_residual(o, *fast) < 1e-12
-    assert _reconstruction_residual(o, *ref) < 1e-12
+def test_svd_route_agrees_with_lapack_route(monkeypatch):
+    o = ortho_group.rvs(512, random_state=10)[None]
+    calls = cossin_calls(monkeypatch)
+    got = split_stack(o, Tolerances())
+    assert not calls
+    assert np.abs(got[1] - reference_split(o)[1]).max() < 1e-10  # theta is convention-free
+    assert stack_residual(o, got).max() <= 1e-12
 
 
-def test_svd_route_handles_identity_padding():
-    from csdcirc.csd import _csd_svd_real, _canonicalize, _reconstruction_residual
+def test_svd_route_handles_identity_padding(monkeypatch):
+    # X12 = 0: the 256 angles form one cluster at theta = 0
+    for group in (ortho_group, unitary_group):
+        o = np.eye(512, dtype=complex if group is unitary_group else float)
+        o[:100, :100] = group.rvs(100, random_state=12)
+        with monkeypatch.context() as mp:
+            calls = cossin_calls(mp)
+            got = split_stack(o[None], Tolerances())
+        assert not calls
+        assert np.all(got[1] == 0.0)
+        assert stack_residual(o[None], got).max() <= 1e-12
 
-    o = np.eye(512)
-    o[:100, :100] = ortho_group.rvs(100, random_state=12)
-    fast = _canonicalize(*_csd_svd_real(o))
-    assert _reconstruction_residual(o, *fast) < 1e-12
+
+def test_svd_route_splits_a_walk_top_block(monkeypatch):
+    # the whole padded operator of a 10-qubit walk: large clusters at 0 and pi/2
+    op, _ = walk_unitary(random_graph(40, 1000, seed=3))
+    a = pad_to_power_of_two(op)[0].as_real()[None]
+    calls = cossin_calls(monkeypatch)
+    got = split_stack(a, Tolerances())
+    assert not calls
+    theta = got[1]
+    assert np.count_nonzero(np.abs(np.diff(theta)) <= DEGEN_EPS) > 100
+    assert stack_residual(a, got).max() <= 1e-12
+
+
+def test_a_failed_svd_sends_the_stack_to_lapack(monkeypatch):
+    def not_converging(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    real = ortho_group.rvs(512, random_state=19)[None]
+    complex_ = random_stack(unitary_group, 32, 3, seed=20)
+    monkeypatch.setattr(np.linalg, "svd", not_converging)
+    for blocks in (real, complex_):
+        assert_bit_identical_to_cossin(blocks)
 
 
 def test_factors_are_certified():
@@ -148,7 +173,7 @@ def test_factors_are_certified():
 
 @pytest.mark.parametrize("dim", [2, 4, 1024])
 def test_non_finite_block_is_a_numerical_failure(dim):
-    # 1024 is real and takes the SVD route, whose SVD does not converge on NaN
+    # split_stack's finite check rejects NaN before any route runs
     a = ortho_group.rvs(dim, random_state=14)[None]
     a[0, 0, 1] = np.nan
     with pytest.raises(NumericalFailureError):
@@ -274,11 +299,16 @@ def assert_agrees_with_cossin(blocks):
     assert np.abs(got[1] - want[1]).max() <= 1e-12
     for g, w in zip(got[::2], want[::2]):
         assert g.dtype == w.dtype and np.abs(g - w).max() <= 1e-10
+    assert stack_residual(blocks, got).max() <= 1e-12
+    return got
+
+
+def stack_residual(blocks, got) -> np.ndarray:
+    """Each block's reconstruction residual from split_stack's (lefts, theta, rights)."""
     k, h = blocks.shape[0], blocks.shape[1] // 2
     lefts, theta, rights = (f.reshape(k, -1, *f.shape[1:]) for f in got)
     factors = (lefts[:, 0], lefts[:, 1], theta.reshape(k, h), rights[:, 0], rights[:, 1])
-    assert csd._reconstruction_residual(blocks, *factors).max() <= 1e-12
-    return got
+    return csd._reconstruction_residual(blocks, *factors)
 
 
 LAPACK_STACKS = stack_params((4, 8))

@@ -20,6 +20,7 @@ from test_csd import (
     cossin_calls,
     random_stack,
     reference_split,
+    stack_residual,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -123,8 +124,8 @@ def test_a_block_that_fails_the_batched_check_alone_falls_back(monkeypatch):
     clean = split_stack(blocks, Tolerances())
     van_loan = csd._csd_van_loan
 
-    def spoiled(stack, live):
-        separated, (u, v, theta, x, y) = van_loan(stack, live)
+    def spoiled(stack, live, screen):
+        separated, (u, v, theta, x, y) = van_loan(stack, live, screen)
         assert np.array_equal(separated, np.arange(4))
         y[2] = -y[2]  # block 2's X12 and X22 no longer reconstruct
         return separated, (u, v, theta, x, y)
@@ -134,14 +135,11 @@ def test_a_block_that_fails_the_batched_check_alone_falls_back(monkeypatch):
     got = split_stack(blocks, Tolerances())
     assert len(calls) == 1 and np.array_equal(calls[0], blocks[2])
     want = reference_split(blocks[2:3])
-    h = 8
     for g, c, w in zip(got, clean, want):
         g, c = g.reshape(4, -1, *g.shape[1:]), c.reshape(4, -1, *c.shape[1:])
         assert np.array_equal(g[[0, 1, 3]], c[[0, 1, 3]])
         assert np.array_equal(g[2].reshape(w.shape), w)
-    lefts, theta, rights = (g.reshape(4, -1, *g.shape[1:]) for g in got)
-    factors = (lefts[:, 0], lefts[:, 1], theta.reshape(4, h), rights[:, 0], rights[:, 1])
-    assert csd._reconstruction_residual(blocks, *factors).max() <= 1e-12
+    assert stack_residual(blocks, got).max() <= 1e-12
 
 
 def test_blocks_with_a_zero_line_skip_every_svd(monkeypatch):
@@ -154,7 +152,21 @@ def test_blocks_with_a_zero_line_skip_every_svd(monkeypatch):
     assert not svds
 
 
-ROUTE_NAMES = ("_csd_dim2_batch", "_csd_lapack", "_csd_batched", "_csd_blocks", "cossin")
+@pytest.mark.parametrize("group", GROUPS.values(), ids=GROUPS.keys())
+def test_large_blocks_align_a_cluster_of_small_sin_angles(monkeypatch, group):
+    # from 512 up clusters take the batched route; four equal angles below
+    # pi/6 leave the residual's SVD free to mix their pairs
+    theta = np.linspace(0.05, 1.5, 256)
+    theta[10:14] = theta[10]
+    blocks = from_angles(theta, group, seed=21)[None]
+    calls = cossin_calls(monkeypatch)
+    got = split_stack(blocks, Tolerances())
+    assert not calls
+    assert np.abs(got[1] - theta).max() <= 1e-12
+    assert stack_residual(blocks, got).max() <= 1e-12
+
+
+ROUTE_NAMES = ("_csd_dim2_batch", "_csd_lapack", "_csd_batched", "_csd_van_loan", "cossin")
 
 
 @ROUTES

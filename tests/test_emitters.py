@@ -368,16 +368,16 @@ def digest(texts) -> str:
 # benchmark compiles them: LAPACK's last bits depend on the thread count.
 GOLDEN_SHA256 = {
     "walk-n8": (
-        "df47862c953c4e7295ea965bec874ace069550f1769633c8a7804d309fe6bbf7",
-        "3c21133fce64466f41379bc4b029836589115e5f7378ecb52b5dfd71ca1e6390",
+        "7adc76c1d66592e662774b9af1e0e33293db84672b3a57b1a7243936250e0382",
+        "60bde6c209fe68aa5fe650eef446c0832a752c0723704e287b57b0a6a7adf9f1",
     ),
     "haar-n7": (
-        "4aaadaa3f6afc12f29cc44d61e0a226f01e264809ce7fbe15f0e8d01f66bb19b",
-        "897903a9e1cf69dc771aa8fc0eafd0a802aee403431b4f5b319a7823ce213e9e",
+        "5895fda20eb277f1ec8b8ac5b41a1822d04bc40916d6709ed427d87dfa5c7cf6",
+        "29d15608e3e5b8db0ac8d8793562154c09bfd5d3ed2927684ad5f954e2e9f7d6",
     ),
     "small-stream": (
-        "4289ac1a91015cc610e044aad42ccc9385bb6517aee49c5fc28e2bb61dfa9782",
-        "cb7a9db556bbde53cf8aae99c5b2825f22c828bbe2d0d5bfec291e83e2f2228d",
+        "2e6d89caedac0fee18dd9317db80e746bae613dcde59485d3d13fb6a19a24c2c",
+        "641f78b3a25afe92d40232e72ecdc557ddc2e2d5f45726a4cd219cd2a2f2b2a1",
     ),
     "square-walk": (
         "ab7d7376dc269f232ef14c04d88ac8acffaf87795d0ca4222785b3f1ad481188",
