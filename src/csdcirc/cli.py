@@ -137,7 +137,11 @@ def _tolerances(args) -> Tolerances:
     )
 
 
-def _compile_operator(w: UnitaryOperator, n: int, args, tol: Tolerances) -> int:
+def _compile_operator(op: UnitaryOperator, args, tol: Tolerances) -> int:
+    """Pad op to a power-of-two dimension, compile it, and print and write the results."""
+    w, n = pad_to_power_of_two(op)
+    if w.dim != op.dim:
+        print(f"padded {op.dim} -> {w.dim} (n = {n})", file=sys.stderr)
     pipeline = args.pipeline
     if pipeline == "auto":
         pipeline = "real" if w.is_real else "complex"
@@ -149,15 +153,17 @@ def _compile_operator(w: UnitaryOperator, n: int, args, tol: Tolerances) -> int:
     elapsed = time.perf_counter() - t0
     print(f"compiled in {elapsed:.2f}s ({pipeline} pipeline)", file=sys.stderr)
 
-    counts = count_subgates(circuit, tol.angle_zero)
-    print(f"qubits: {n}")
-    print(
-        "subgates: ry={ry} rz={rz} pi={pi} phase={phase} total={total}".format(**counts)
-    )
+    _print_counts(circuit, tol.angle_zero)
     _write_outputs(circuit, args, tol)
     if args.verify:
         _print_verify(circuit, w, tol, args.verify_samples)
     return EXIT_OK
+
+
+def _print_counts(circuit: Circuit, angle_zero: float):
+    counts = count_subgates(circuit, angle_zero)
+    print(f"qubits: {circuit.n_qubits}")
+    print("subgates: ry={ry} rz={rz} pi={pi} phase={phase} total={total}".format(**counts))
 
 
 def _print_verify(circuit: Circuit, w: UnitaryOperator, tol: Tolerances, samples: int):
@@ -197,12 +203,7 @@ def _write(path: str, content: str):
 
 def cmd_compile(args) -> int:
     tol = _tolerances(args)
-    mat = load_matrix(args.matrix)
-    op = certify_unitary(mat, tol)
-    w, n = pad_to_power_of_two(op)
-    if w.dim != op.dim:
-        print(f"padded {op.dim} -> {w.dim} (n = {n})", file=sys.stderr)
-    return _compile_operator(w, n, args, tol)
+    return _compile_operator(certify_unitary(load_matrix(args.matrix), tol), args, tol)
 
 
 def cmd_walk(args) -> int:
@@ -223,10 +224,7 @@ def cmd_walk(args) -> int:
         if args.out is None:
             raise ValueError("--dump-matrix requires --out PREFIX")
         _write(args.out + ".mat", format_matrix_text(op))
-    w, n = pad_to_power_of_two(op)
-    if w.dim != op.dim:
-        print(f"padded {op.dim} -> {w.dim} (n = {n})", file=sys.stderr)
-    return _compile_operator(w, n, args, tol)
+    return _compile_operator(op, args, tol)
 
 
 def _load_circuit(path: str, n_qubits: int | None) -> Circuit:
@@ -246,12 +244,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    circuit = _load_circuit(args.circuit, None)
-    counts = count_subgates(circuit, args.tol_zero)
-    print(f"qubits: {circuit.n_qubits}")
-    print(
-        "subgates: ry={ry} rz={rz} pi={pi} phase={phase} total={total}".format(**counts)
-    )
+    _print_counts(_load_circuit(args.circuit, None), args.tol_zero)
     return EXIT_OK
 
 

@@ -44,7 +44,7 @@ from .errors import (
     TextSyntaxError,
 )
 from .gates import Axis, Circuit, GlobalPhase, PiGate, UniformRotation
-from .matrices import _index, _number, _numbers
+from .matrices import Tolerances, _index, _number, _numbers
 
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
 # Digits for exact mode: enough that turn -> radians reproduces the float64
@@ -130,7 +130,7 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 _PAD = 0
 # A token row: "  ", the sign, the fixed notation's "0." and up to 5
 # zeros, d1, the E notation's ".", d2..d25 (whole uint32 words), the E
-# notation's "E-" and 1 to 3 exponent digits, and a newline slot.
+# notation's "E-" and 1 to 3 exponent digits, and a slot for the list end.
 _ROW = 44
 _D1 = 10
 _D2_WORDS = slice(3, 9)
@@ -256,39 +256,61 @@ def _token_rows(angles: np.ndarray) -> np.ndarray:
     rows[:, 2] = np.where(angles < 0, ord("-"), _PAD)
     lead, top = np.divmod(hi, 10**12)
     rows[:, _D1] = lead + ord("0")
-    groups = np.empty((angles.size, 6), np.int64)
-    groups[:, 0], rest = np.divmod(top, 10**8)
-    groups[:, 1], groups[:, 2] = np.divmod(rest, 10**4)
-    groups[:, 3], rest = np.divmod(lo, 10**8)
-    groups[:, 4], groups[:, 5] = np.divmod(rest, 10**4)
-    rows.view(np.uint32)[:, _D2_WORDS] = _DIGITS4[groups]
+    words = rows.view(np.uint32)[:, _D2_WORDS]
+    _digit_words(top, words[:, :3])
+    _digit_words(lo, words[:, 3:])
     rows[mag == 0] = _ZERO_ROW
-    for i in np.flatnonzero(~(fast & exact) & (mag != 0)):
-        token = _to_turns_exact(angles[i]).encode()
-        rows[i, 2:] = _PAD
-        rows[i, 2 : 2 + len(token)] = np.frombuffer(token, np.uint8)
+    _write_slow(rows[:, 2:], angles, ~(fast & exact) & (mag != 0), _to_turns_exact)
     return rows
 
 
-def _exact_lines(payloads: list[np.ndarray]) -> list[str]:
-    """The exact-mode payload line of each angle array, in one pass per chunk."""
+def _digit_words(values: np.ndarray, out: np.ndarray) -> None:
+    """Write each value below 10**(4 * k) into out's k columns, 4 digits a _DIGITS4 word."""
+    groups = np.empty(out.shape, np.int64)
+    for column in range(out.shape[1] - 1, 0, -1):
+        values, groups[:, column] = np.divmod(values, 10**4)
+    groups[:, 0] = values
+    np.take(_DIGITS4, groups, out=out, mode="clip")
+
+
+def _write_slow(rows: np.ndarray, values: np.ndarray, slow: np.ndarray, token) -> None:
+    """Write token(v), _PAD-filled, over the row of each value where slow holds."""
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        width = rows.shape[1]
+        tokens = "".join([token(v).ljust(width, chr(_PAD)) for v in values[slow].tolist()])
+        rows[slow] = np.frombuffer(tokens.encode("ascii"), np.uint8).reshape(-1, width)
+
+
+def _chunked(payloads: list[np.ndarray], rows_of, end_at: int, one_by_one) -> list[str]:
+    """Each payload's text, from rows_of(values) in one pass per chunk.
+
+    A payload's last row gets the byte 1 at column end_at and _PAD after
+    it; the chunk's bytes, _PAD stripped, split at the 1s.  Payloads of
+    fewer than _VECTOR_MIN values in all go through one_by_one instead.
+    """
     sizes = [p.size for p in payloads]
     if sum(sizes) < _VECTOR_MIN:
-        return ["  " + "  ".join(_to_turns_exact(a) for a in p) for p in payloads]
-    angles = np.concatenate(payloads)
-    line_ends = np.cumsum(sizes) - 1
-    lines: list[str] = []
+        return [one_by_one(p) for p in payloads]
+    values = np.concatenate(payloads)
+    last_rows = np.cumsum(sizes) - 1
+    texts: list[str] = []
     carry = ""
-    for start in range(0, angles.size, _CHUNK):
-        rows = _token_rows(angles[start : start + _CHUNK])
-        ends = line_ends[np.searchsorted(line_ends, start) : np.searchsorted(line_ends, start + _CHUNK)]
-        rows[ends - start, -1] = ord("\n")
-        flat = rows.ravel()
-        parts = flat[flat != _PAD].tobytes().decode("ascii").split("\n")
+    for start in range(0, values.size, _CHUNK):
+        rows = rows_of(values[start : start + _CHUNK])
+        ends = last_rows[np.searchsorted(last_rows, start) : np.searchsorted(last_rows, start + _CHUNK)]
+        rows[ends - start, end_at] = 1
+        rows[ends - start, end_at + 1 :] = _PAD
+        parts = rows.tobytes().translate(None, bytes([_PAD])).decode("ascii").split("\1")
         parts[0] = carry + parts[0]
         carry = parts.pop()
-        lines += parts
-    return lines
+        texts += parts
+    return texts
+
+
+def _exact_lines(payloads: list[np.ndarray]) -> list[str]:
+    """The exact-mode payload line of each angle array."""
+    return _chunked(payloads, _token_rows, _ROW - 1, lambda p: "  " + "  ".join(map(_to_turns_exact, p)))
 
 
 def _scan_tokens(tokens: list[str]):
@@ -474,21 +496,16 @@ def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
     pending: list[_Record] = []
     queued = 0
     max_qubit = 0
-    records = _records(text.splitlines())
-    while True:
-        try:
-            record = next(records, None)
-        except TextSyntaxError:
-            _build_gates(pending, gates, gate_lines)  # an earlier record's error comes first
-            raise
-        if record is None or queued + len(record.tokens) > _CHUNK:
-            _build_gates(pending, gates, gate_lines)
-            queued = 0
-        if record is None:
-            break
-        pending.append(record)
-        queued += len(record.tokens)
-        max_qubit = max(max_qubit, record.target, *record.controls)
+    try:
+        for record in _records(text.splitlines()):
+            if queued + len(record.tokens) > _CHUNK:
+                batch, pending, queued = pending, [], 0
+                _build_gates(batch, gates, gate_lines)
+            pending.append(record)
+            queued += len(record.tokens)
+            max_qubit = max(max_qubit, record.target, *record.controls)
+    finally:
+        _build_gates(pending, gates, gate_lines)  # an earlier record's error comes first
     inferred = n_qubits if n_qubits is not None else max_qubit
     try:
         return Circuit(inferred, tuple(gates))
@@ -565,7 +582,6 @@ def _build_gates(records: list[_Record], gates: list, gate_lines: list[int]):
         gates.append(_build_gate(r, values[start:stop]))
         gate_lines.append(r.line)
         start = stop
-    records.clear()
 
 
 def _build_gate(r: _Record, angles):
@@ -611,8 +627,6 @@ _JSON_D2_WORDS = slice(2, 6)
 _JSON_EXPONENT = 24
 _JSON_SEP = ",\n        "
 _JSON_SEP_AT = _JSON_ROW - len(_JSON_SEP)
-# in place of the separator after the last item of a list
-_JSON_LIST_END = np.array([1] + [_PAD] * (len(_JSON_SEP) - 1), np.uint8)
 _JSON_MIN = 1e-290
 _JSON_MAX = 10.0
 # Scaled, the distances and the half ulp are exact to within 1e-12 (the
@@ -695,46 +709,20 @@ def _json_rows(angles: np.ndarray) -> np.ndarray:
     rows = np.take(_JSON_TEMPLATES, k, axis=0)
     negative = np.signbit(angles).view(np.uint8)
     rows[:, 0] = negative * np.uint8(ord("-"))
-    lead = digits // 10**16
+    lead, rest = np.divmod(digits, 10**16)
     rows[:, _JSON_D1] = lead + ord("0")
-    tops = digits // 10**8
-    high = tops - lead * 10**8
-    low = digits - tops * 10**8
-    groups = np.empty((angles.size, 4), np.int64)
-    groups[:, 0] = high // 10**4
-    groups[:, 1] = high - groups[:, 0] * 10**4
-    groups[:, 2] = low // 10**4
-    groups[:, 3] = low - groups[:, 2] * 10**4
     words = rows.view(np.uint32)[:, _JSON_D2_WORDS]
-    np.take(_DIGITS4, groups, out=words, mode="clip")
+    _digit_words(rest, words)
     words[:, 3] &= np.take(_JSON_KEEP, blank)
     zero = np.flatnonzero(mag == 0)
     rows[zero] = _JSON_ZERO_ROWS[negative[zero]]
-    slow = np.flatnonzero(~(fast & exact) & (mag != 0))
-    if slow.size:
-        tokens = "".join([repr(a).ljust(_JSON_SEP_AT, "\0") for a in angles[slow].tolist()])
-        rows[slow, :_JSON_SEP_AT] = np.frombuffer(tokens.encode("ascii"), np.uint8).reshape(-1, _JSON_SEP_AT)
+    _write_slow(rows[:, :_JSON_SEP_AT], angles, ~(fast & exact) & (mag != 0), repr)
     return rows
 
 
 def _json_items(payloads: list[np.ndarray]) -> list[str]:
-    """The items of each angle list as json.dumps(..., indent=2) writes them, in one pass per chunk."""
-    sizes = [p.size for p in payloads]
-    if sum(sizes) < _VECTOR_MIN:
-        return [_JSON_SEP.join(map(repr, p.tolist())) for p in payloads]
-    angles = np.concatenate(payloads)
-    last_rows = np.cumsum(sizes) - 1
-    items: list[str] = []
-    carry = ""
-    for start in range(0, angles.size, _CHUNK):
-        rows = _json_rows(angles[start : start + _CHUNK])
-        ends = last_rows[np.searchsorted(last_rows, start) : np.searchsorted(last_rows, start + _CHUNK)]
-        rows[ends - start, _JSON_SEP_AT:] = _JSON_LIST_END
-        parts = rows.tobytes().translate(None, bytes([_PAD])).decode("ascii").split("\1")
-        parts[0] = carry + parts[0]
-        carry = parts.pop()
-        items += parts
-    return items
+    """The items of each angle list as json.dumps(..., indent=2) writes them."""
+    return _chunked(payloads, _json_rows, _JSON_SEP_AT, lambda p: _JSON_SEP.join(map(repr, p.tolist())))
 
 
 def _json_gate(g, angle_items) -> list[str]:
@@ -800,7 +788,7 @@ def _qubits_of(spec: dict) -> tuple[int, tuple[int, ...]]:
 # --- LaTeX ------------------------------------------------------------------
 
 
-def emit_latex(circuit: Circuit, angle_zero: float = 1e-9) -> str:
+def emit_latex(circuit: Circuit, angle_zero: float = Tolerances().angle_zero) -> str:
     """Qcircuit diagram body, one column per non-vanishing subgate.
 
     Control dots are open for pattern bit 0 and filled for bit 1; long

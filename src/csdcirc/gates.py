@@ -305,7 +305,7 @@ def apply_to_state(circuit: Circuit, psi) -> np.ndarray:
     The result is float64 for a real circuit on a real input, else complex128.
     """
     v = np.asarray(psi)
-    if v.shape[0] != circuit.dim:
+    if circuit.n_qubits != v.shape[0].bit_length() - 1 or v.shape[0] != circuit.dim:
         raise LengthMismatchError(f"state length {v.shape[0]} != 2**{circuit.n_qubits}")
     real = _is_real(circuit.gates) and not np.iscomplexobj(v)
     v = np.array(v, dtype=np.float64 if real else np.complex128, order="C")
@@ -362,7 +362,7 @@ def verify(
     """
     if samples < 1:
         raise OutOfRangeError(f"verify needs at least 1 sample, got {samples}")
-    if circuit.dim != op.dim:
+    if circuit.n_qubits != (op.dim - 1).bit_length() or circuit.dim != op.dim:
         raise ShapeMismatchError(
             f"circuit has {circuit.n_qubits} qubits but the matrix needs "
             f"{(op.dim - 1).bit_length()}"

@@ -122,6 +122,13 @@ def test_verify_dimension_mismatch(tmp_path):
     assert main(["verify", prefix + ".json", mat4]) == 2
 
 
+def test_verify_rejects_a_qubit_count_too_large_to_build(tmp_path, capsys):
+    big = write(tmp_path, "big.json", json.dumps({"n_qubits": 10**30, "gates": []}))
+    mat = write(tmp_path, "id2.mat", format_matrix_text(np.eye(2)))
+    assert main(["verify", big, mat]) == 2
+    assert capsys.readouterr().err == f"error: circuit has {10**30} qubits but the matrix needs 1\n"
+
+
 def test_stats_command(tmp_path, capsys):
     o = ortho_group.rvs(8, random_state=9)
     mat = write(tmp_path, "o.mat", format_matrix_text(o))
@@ -138,6 +145,22 @@ def test_padding_of_non_power_of_two(tmp_path, capsys):
     mat = write(tmp_path, "u5.mat", format_matrix_text(u))
     assert main(["compile", mat, "--verify"]) == 0
     assert "qubits: 3" in capsys.readouterr().out
+
+
+def test_compile_walk_and_stats_print_the_same_report_lines(tmp_path, capsys):
+    mat = write(tmp_path, "u5.mat", format_matrix_text(unitary_group.rvs(5, random_state=10)))
+    prefix = str(tmp_path / "c")
+    assert main(["compile", mat, "--out", prefix]) == 0
+    compiled = capsys.readouterr()
+    assert compiled.out.startswith("qubits: 3\nsubgates: ry=")
+    assert compiled.err.startswith("padded 5 -> 8 (n = 3)\ncompiled in ")
+    assert main(["stats", prefix + ".txt"]) == 0
+    assert capsys.readouterr() == (compiled.out, "")
+    assert main(["walk", "--random", "5", "--seed", "1", "--out", prefix]) == 0
+    walked = capsys.readouterr()
+    assert walked.err.startswith("walk operator: 11 arcs over 5 nodes\npadded 11 -> 16 (n = 4)\ncompiled in ")
+    assert main(["stats", prefix + ".txt"]) == 0
+    assert capsys.readouterr() == (walked.out, "")
 
 
 def test_outputs_are_deterministic(tmp_path):

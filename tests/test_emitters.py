@@ -589,6 +589,54 @@ def test_exact_round_trip_across_chunks():
     assert emit_text(parse_text(text), "exact") == text
 
 
+def chunk_spanning_angles(size: int) -> np.ndarray:
+    """Random angles of both signs, with zeros (constant rows) and tiny values (per-value code)."""
+    rng = np.random.default_rng(12)
+    angles = rng.uniform(-np.pi, np.pi, size)
+    angles[rng.random(size) < 0.1] = 0.0
+    tiny = rng.random(size) < 0.01
+    angles[tiny] = np.copysign(1e-300, angles[tiny])
+    return angles
+
+
+@pytest.mark.parametrize(
+    "sizes", [lambda c: [2 * c + 5], lambda c: [5, c - 5, c, 3]], ids=["over-two-chunks", "ends-at-boundaries"]
+)
+def test_payloads_across_chunk_boundaries_match_the_per_value_code(sizes):
+    sizes = sizes(emitters._CHUNK)
+    payloads = np.split(chunk_spanning_angles(sum(sizes)), np.cumsum(sizes)[:-1])
+    lines = emitters._exact_lines(payloads)
+    assert lines == ["  " + "  ".join(map(emitters._to_turns_exact, p)) for p in payloads]
+    items = emitters._json_items(payloads)
+    assert items == [emitters._JSON_SEP.join(map(repr, p.tolist())) for p in payloads]
+
+
+def chunk_circuit(layout: str) -> Circuit:
+    """A circuit whose largest payload, 2 * _CHUNK angles, ends at a chunk boundary or spans a whole chunk."""
+    big = 2 * emitters._CHUNK
+    k = big.bit_length() - 1
+    a = chunk_spanning_angles(big + 5)
+    if layout == "ends-at-a-boundary":
+        gates = (UniformRotation(Axis.Y, 1, tuple(range(2, k + 2)), a[:big]), GlobalPhase(a[big]))
+        gates += (UniformRotation(Axis.Z, 1, (2, 3), a[big + 1 :]),)
+    else:
+        gates = (GlobalPhase(a[0]), UniformRotation(Axis.Z, 1, (2, 3), a[1:5]))
+        gates += (UniformRotation(Axis.Y, 1, tuple(range(2, k + 2)), a[5:]),)
+    return Circuit(k + 1, gates)
+
+
+@pytest.mark.parametrize("layout", ["ends-at-a-boundary", "spans-a-chunk"])
+def test_circuits_across_chunk_boundaries_round_trip(layout):
+    circ = chunk_circuit(layout)
+    text = emit_text(circ, "exact")
+    payloads = [g.angles if isinstance(g, UniformRotation) else [g.phase] for g in circ.gates]
+    assert text.splitlines()[2::3] == ["  " + "  ".join(map(emitters._to_turns_exact, p)) for p in payloads]
+    assert parse_text(text) == circ
+    json_text = emit_json(circ)
+    assert json_text == json_dumps_reference(circ)
+    assert parse_json(json_text) == circ
+
+
 # --- the JSON pass against repr --------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from csdcirc.errors import (
     LengthMismatchError,
     NonFiniteAngleError,
     OutOfRangeError,
+    ShapeMismatchError,
     VerifyFailedError,
 )
 from csdcirc.gates import (
@@ -191,6 +192,14 @@ def test_global_phase_application():
 def test_apply_rejects_wrong_length():
     with pytest.raises(LengthMismatchError):
         apply_to_state(Circuit(2, ()), np.ones(3))
+
+
+def test_a_qubit_count_too_large_to_build_is_a_mismatch():
+    huge = Circuit(10**30, ())
+    with pytest.raises(LengthMismatchError):
+        apply_to_state(huge, np.ones(2))
+    with pytest.raises(ShapeMismatchError):
+        verify(huge, certify_unitary(np.eye(2)))
 
 
 def test_dense_cap():
