@@ -1,0 +1,85 @@
+"""Time the exact text and JSON codecs on seeded circuits shaped like CSD output.
+
+The circuits are ``bench_eval.ruler_circuit``'s: a compiled circuit's gate
+layout with seeded random angles, so no CSD runs.  For each size and field
+this script times, best of ``--repeats`` in-process runs, ``emit_text(c,
+"exact")``, ``parse_text`` of that text, ``emit_json`` and ``parse_json`` of
+that JSON, and checks that both documents read back as the circuit.
+
+    python benchmarks/bench_codec.py                     # n = 8, 10 and 12
+    python benchmarks/bench_codec.py --sizes 12 --fields real --repeats 1
+"""
+
+import argparse
+import importlib.util
+import os
+import resource
+import time
+from pathlib import Path
+
+# One BLAS thread, as bench_eval.py and pipebench pin.  The pools read this
+# when numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from csdcirc import UniformRotation, emit_json, emit_text, parse_json, parse_text  # noqa: E402
+
+
+def _bench_eval():
+    """bench_eval.py from this directory, which need not be importable as a package."""
+    path = Path(__file__).resolve().with_name("bench_eval.py")
+    spec = importlib.util.spec_from_file_location("bench_eval", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _best(fn, repeats: int):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return min(times), out
+
+
+def bench(sizes=(8, 10, 12), repeats=5, seed=0, fields=("real", "complex")):
+    """Rows of (function, n, field, angles, best seconds, bytes) for each case."""
+    ruler_circuit = _bench_eval().ruler_circuit
+    rows = []
+    for n in sizes:
+        for field in fields:
+            circuit = ruler_circuit(n, field == "complex", seed)
+            angles = sum(g.angles.size for g in circuit.gates if isinstance(g, UniformRotation))
+            emit_s, text = _best(lambda: emit_text(circuit, "exact"), repeats)
+            parse_s, from_text = _best(lambda: parse_text(text, n), repeats)
+            emit_json_s, js = _best(lambda: emit_json(circuit), repeats)
+            parse_json_s, from_json = _best(lambda: parse_json(js), repeats)
+            if from_text != circuit or from_json != circuit:
+                raise AssertionError(f"n = {n} {field}: a document did not read back as its circuit")
+            rows.append(("emit_text", n, field, angles, emit_s, len(text)))
+            rows.append(("parse_text", n, field, angles, parse_s, len(text)))
+            rows.append(("emit_json", n, field, angles, emit_json_s, len(js)))
+            rows.append(("parse_json", n, field, angles, parse_json_s, len(js)))
+            del text, js, from_text, from_json
+    return rows
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", default="8,10,12", help="comma-separated qubit counts")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--fields", default="real,complex", help="real, complex or both")
+    args = parser.parse_args()
+
+    sizes = tuple(int(n) for n in args.sizes.split(",") if n)
+    fields = tuple(f for f in args.fields.split(",") if f)
+    print(f"{'function':>12} {'n':>3} {'field':>8} {'angles':>9} {'best time':>12} {'MB':>8}")
+    for name, n, field, angles, best, size in bench(sizes, args.repeats, args.seed, fields):
+        print(f"{name:>12} {n:>3} {field:>8} {angles:>9} {best:>11.4f}s {size / 1e6:>8.2f}")
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+
+
+if __name__ == "__main__":
+    main()

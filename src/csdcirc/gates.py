@@ -305,6 +305,8 @@ def apply_to_state(circuit: Circuit, psi) -> np.ndarray:
     The result is float64 for a real circuit on a real input, else complex128.
     """
     v = np.asarray(psi)
+    if v.ndim not in (1, 2):
+        raise LengthMismatchError(f"state of shape {v.shape} is neither a vector nor a column stack")
     if circuit.n_qubits != v.shape[0].bit_length() - 1 or v.shape[0] != circuit.dim:
         raise LengthMismatchError(f"state length {v.shape[0]} != 2**{circuit.n_qubits}")
     real = _is_real(circuit.gates) and not np.iscomplexobj(v)

@@ -1,0 +1,25 @@
+"""Keep benchmarks/bench_codec.py runnable at a small size."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_codec.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_codec", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_codec_times_all_four_functions_at_four_qubits():
+    rows = _load().bench(sizes=(4,), repeats=1, seed=0)
+    functions = ["emit_text", "parse_text", "emit_json", "parse_json"]
+    assert [(name, n, field) for name, n, field, _, _, _ in rows] == [
+        (name, 4, field) for field in ("real", "complex") for name in functions
+    ]
+    # 15 rotations of 8 angles; the complex layout adds R_z cascades and an R_z per R_y
+    assert [angles for _, _, _, angles, _, _ in rows] == [120] * 4 + [255] * 4
+    for _, _, _, _, best, size in rows:
+        assert best >= 0.0 and size > 0

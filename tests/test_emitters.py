@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from scipy.stats import ortho_group, unitary_group
 from csdcirc import emitters
 from csdcirc.decompose import compile_complex, compile_real, recursive_csd
 from csdcirc.emitters import emit_json, emit_latex, emit_text, parse_json, parse_text
-from csdcirc.errors import BadPayloadLengthError, TextSyntaxError
+from csdcirc.errors import BadPayloadLengthError, CsdcircError, TextSyntaxError
 from csdcirc.gates import (
     Axis,
     Circuit,
@@ -538,6 +539,24 @@ def near_midpoint_tokens(count: int) -> list[str]:
     return tokens
 
 
+def payload_line(tokens: list[str]) -> str:
+    """tokens on one line, padded with spaces to a text long enough for the numpy reader."""
+    return "  ".join(tokens) + " " * (emitters._VECTOR_MIN * emitters._ROW)
+
+
+def read_tokens(tokens: list[str]):
+    """The text reader's angles and bad flags for tokens on one payload line."""
+    text = payload_line(tokens)
+    record = emitters._Record("GATEY", 1, (), 0, 1, len(tokens))
+    return emitters._parse_turns(emitters._text_table(text), [record])
+
+
+def fast_turns(tokens: list[str]) -> np.ndarray:
+    """Where the text reader's numpy pass converts tokens itself."""
+    table = emitters._text_table(payload_line(tokens))
+    return emitters._fast_turns(table.buf, table.token_starts, table.token_ends, np.empty(len(tokens)))
+
+
 def test_near_midpoint_tokens_go_to_decimal():
     pi = Fraction(emitters._PI)
     for token in NEAR_MIDPOINTS:
@@ -545,8 +564,8 @@ def test_near_midpoint_tokens_go_to_decimal():
         assert 2**52 <= scaled < 2**53
         assert abs(scaled % 1 - Fraction(1, 2)) < Fraction(1, 10**22)
     tokens = (NEAR_MIDPOINTS + ["-" + t for t in NEAR_MIDPOINTS]) * 8
-    assert not emitters._fast_turns(tokens, np.empty(len(tokens))).any()
-    values, bad = emitters._parse_turns(tokens)
+    assert not fast_turns(tokens).any()
+    values, bad = read_tokens(tokens)
     assert not bad.any()
     assert values.tolist() == [emitters._from_turns(t) for t in tokens]
 
@@ -557,14 +576,15 @@ def test_numpy_parse_matches_the_decimal_code(oracle_angles, oracle_tokens):
     forms = [f"0.{digits[31 * i : 31 * i + 1 + i % 31]}" for i in range(20_000)]
     forms += [f"{digits[i]}.{digits[i + 1 : i + 25]}E-{i % 320}" for i in range(20_000)]
     odd = ["0E+50", "-0E+50", "0.0000", "-0.0000", "1.0000", "0.5", "0.", "-", "abc", "1e-5"]
-    odd += ["3e299", "nan", "-inf", "sNaN", "0.\u0663", "\u0663", "0E+5", "0.0000000000000000000000000000001"]
+    odd += ["3e299", "nan", "-inf", "sNaN", "0E+5", "0.0000000000000000000000000000001"]
     odd += [f"1.{'0' * 24}E-{e}" for e in ("12x", "1234", "0012", "", "+5")]
     tokens = oracle_tokens + [f"{round(emitters._to_turns(a), 4) + 0.0:.4f}" for a in oracle_angles[:100_000]]
     tokens += near_midpoint_tokens(100_000) + forms + odd * 50
     assert len(tokens) > 10**6
-    for start in range(0, len(tokens), emitters._CHUNK):
-        chunk = tokens[start : start + emitters._CHUNK]
-        values, bad = emitters._parse_turns(chunk)
+    # a non-ASCII text is read token by token, so those tokens get a chunk of their own
+    chunks = [tokens[start : start + emitters._CHUNK] for start in range(0, len(tokens), emitters._CHUNK)]
+    for chunk in chunks + [["0.\u0663", "\u0663", "0.5"] * 50]:
+        values, bad = read_tokens(chunk)
         want = np.zeros(len(chunk))
         want_bad = np.zeros(len(chunk), bool)
         for i, token in enumerate(chunk):
@@ -574,6 +594,19 @@ def test_numpy_parse_matches_the_decimal_code(oracle_angles, oracle_tokens):
                 want_bad[i] = True
         same = (values.view(np.int64) == want.view(np.int64)) & (bad == want_bad) | want_bad & bad
         assert same.all(), chunk[np.argmin(same)]
+
+
+def test_text_pass_reads_the_emitters_tokens(oracle_tokens):
+    # the numpy pass proves all but the near-ties of the emitter's tokens itself
+    assert np.mean(fast_turns(oracle_tokens[:50_000])) > 0.999
+    forms = ["0E+50", "-0E+50", "0.5", "-0.3188", "0.0000012345678901234567890123", "-1.234567890123456789012345E-7"]
+    forms += ["1.234567890123456789012345E-266", "0.1234567890123456789012345", "-0.000000000000000000000000001"]
+    assert fast_turns(forms).all()
+    values, bad = read_tokens(forms)
+    assert not bad.any() and values.tolist() == [emitters._from_turns(t) for t in forms]
+    # and leaves to Decimal what it does not take, the same token on a line of its own or not
+    others = ["1.0000", "0.", "0.00000000000000000000000000000001", "1.234567890123456789012345E-267", "0E+5"]
+    assert not fast_turns(others).any()
 
 
 def test_exact_round_trip_across_chunks():
@@ -769,6 +802,103 @@ def test_emit_json_matches_json_dumps_on_drawn_circuits():
     check()
 
 
+def reference_read(read, text):
+    """read(text) through the per-value code alone: json.loads and Decimal.
+
+    No text then holds _VECTOR_MIN angle tokens, and no document is as long
+    as _CHUNK // 4 rows.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emitters, "_VECTOR_MIN", 1 << 62)
+        patch.setattr(emitters, "_CHUNK", 1 << 62)
+        return outcome(read, text)
+
+
+def outcome(read, text):
+    """The circuit read, as bits, or the CsdcircError's type, message and line."""
+    try:
+        circuit = read(text)
+    except CsdcircError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    gates = []
+    for g in circuit.gates:
+        if isinstance(g, UniformRotation):
+            gates.append((g.axis, g.target, g.controls, g.angles.tobytes()))
+        elif isinstance(g, PiGate):
+            gates.append(("pi", g.target, g.controls, g.flags.tobytes()))
+        else:
+            gates.append(("phase", np.float64(g.phase).tobytes()))
+    return circuit.n_qubits, gates
+
+
+def test_numpy_json_reader_matches_float(json_values):
+    # repr writes one digit before the point below 10, and e-notation from 1e16
+    mag = np.abs(json_values)
+    values = json_values[(mag < 10) | (mag >= 1e16)]
+    assert values.size > 10**6
+    _, lists = emitters._angle_lists(emit_json(rotations(values)))
+    got = np.concatenate(lists)
+    assert np.array_equal(got.view(np.int64), values.view(np.int64))
+
+
+@functools.cache
+def reader_circuit() -> Circuit:
+    """A compiled 7-qubit complex circuit: 16,383 angles, a JSON document long enough for the numpy reader."""
+    return compile_complex(recursive_csd(certify_unitary(unitary_group.rvs(128, random_state=2))))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.replace('"angles": [', '"angles": [12.5, ', 1),
+        lambda doc: doc.replace('"angles": [', '"angles": [NaN, ', 1),
+        lambda doc: doc.replace('"angles": [', '"angles": [1E-05, ', 1),
+        lambda doc: doc.replace('"angles": [', '"angles": [2, ', 1),
+        lambda doc: doc.replace(",\n        ", " ,", 1),
+        lambda doc: doc.replace('"angles": [', '"angles": [0.5], "angles": [', 1),
+        lambda doc: doc.replace('"kind": "rz"', '"kind": "rz", "note": "\u00e9"', 1),
+        lambda doc: doc.replace('"phase": ', '"phase": -Infinity, "x": ', 1),
+        lambda doc: json.dumps(json.loads(doc)["gates"][0]),
+        lambda doc: doc.replace('"angles": [', '"angles": [0.5, [', 1),
+        lambda doc: doc.replace('"angles": [', '"angles": [[0.5], ', 1),
+        lambda doc: doc.replace(",\n", ",,\n", 1),
+        lambda doc: doc.replace("\n      ]", ",\n      ]", 1),
+    ],
+    ids=["two-digit-integer", "nan", "capital-e", "integer", "space-before-comma", "duplicate-angles",
+         "non-ascii", "infinity", "few-angles", "unclosed-inner-list", "inner-list", "double-comma",
+         "trailing-comma"],
+)
+def test_json_the_numpy_reader_leaves_to_json_loads(edit):
+    doc = emit_json(reader_circuit())
+    edited = edit(doc)
+    assert not read_whole_by_json_loads(doc)
+    assert read_whole_by_json_loads(edited)
+    assert outcome(parse_json, edited) == reference_read(parse_json, edited)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["0.123456789012345678", "0.123456789012345678901234", "9.87654321098765432109876", "-5.0e-300", "1.5e+200",
+     "2e-305", "0.5", "-0.0"],
+)
+def test_json_tokens_the_numpy_pass_leaves_to_float(token):
+    # past 17 digits or 10**-290, or above 1: float() reads them, the document stays in numpy
+    doc = emit_json(reader_circuit()).replace('"angles": [\n        ', f'"angles": [\n        {token},\n        ', 1)
+    doc = doc.replace('"controls": [],\n      "angles"', '"controls": [\n        2\n      ],\n      "angles"', 1)
+    assert not read_whole_by_json_loads(doc)
+    assert outcome(parse_json, doc) == reference_read(parse_json, doc)
+
+
+def read_whole_by_json_loads(doc: str) -> bool:
+    """Whether parse_json hands the whole document to json.loads."""
+    calls = []
+    loads = json.loads
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "loads", lambda text, **kw: calls.append(text) or loads(text, **kw))
+        outcome(parse_json, doc)
+    return doc in calls
+
+
 BIG_RECORD = "GATEY\n  1;" + "".join(f"{c:3d}," for c in range(2, 18)) + " 18\n" + "  0.1" * (1 << 17)
 
 
@@ -802,3 +932,160 @@ def test_first_bad_record_is_reported(text, error, line):
         parse_text(text)
     assert type(err.value) is error
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r\n").replace("\r\n  0", "\r\n  x0", 1),
+        lambda t: t.replace("\n", "\r"),
+        lambda t: t.replace("\n", "\x0c"),
+        lambda t: t.replace("\n", "\x1c", 7),
+        lambda t: t.replace("  ", " \x1f", 99),
+        lambda t: t.replace("  ", "\t"),
+        lambda t: t.rstrip("\n"),
+        lambda t: t.replace("\n", "\n \n"),
+        lambda t: t.replace("\n", "\x85", 3),
+        lambda t: t.replace("\n  0", "\n  GATEPHASEX 0", 1),
+        lambda t: t.replace("\n  0", "\n  GATEZ 0", 1),
+        lambda t: t.replace("\n  0", "\n  \x1d0", 1),
+        lambda t: t.replace("\n  0", "\n  \x07 0", 1),
+    ],
+    ids=["crlf", "crlf-bad-token", "cr", "form-feed", "file-separator", "unit-separator", "tabs", "no-final-newline",
+         "blank-lines", "next-line", "long-first-word", "keyword-in-payload", "group-separator", "bell"],
+)
+def test_text_line_and_token_edges_read_as_the_per_value_code_reads_them(edit):
+    text = edit(emit_text(reader_circuit(), "exact"))
+    assert outcome(parse_text, text) == reference_read(parse_text, text)
+
+
+LINE_EDGE_TEXTS = [
+    "GATEY\r\n  1;\r\n\r\n  0.5\r\n",
+    "GATEY\r  1;\r\x0b  0.5\x0c\x1cGATEZ\x1d  2;  1\x1e  0.25 \x1f 0.75",
+    "\n \t\nGATEY\n  1;  2\n  0.5\n\n  0.25\n  \n",
+    "GATEY\n  1;  2\n  GATEPHASEX  0.5\n",
+    "GATEY\n  1;  2\n  GATEPHASE  0.5\n",
+    "GATEY\n  1;\n  \x07\n",
+]
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["short", "numpy"])
+@pytest.mark.parametrize("text", LINE_EDGE_TEXTS)
+def test_text_table_splits_as_str_splitlines_and_split(text, padded):
+    if padded:  # long enough for the numpy table
+        text = " " * (emitters._VECTOR_MIN * emitters._ROW) + text
+    table = emitters._text_table(text)
+    assert (table.buf is not None) == padded
+    lines = text.splitlines()
+    assert len(table.counts) == len(lines)
+    for i, line in enumerate(lines):
+        assert table.line(i).strip() == line.strip()
+        assert table.counts[i] == len(line.split())
+        assert table.tokens(i, i + 1) == line.split()
+        if line.split():
+            assert table.head(i) == line.split()[0]
+    assert table.tokens(0, len(lines)) == text.split()
+
+
+def test_a_payload_word_that_starts_with_a_keyword_is_a_token():
+    with pytest.raises(TextSyntaxError) as err:
+        parse_text(LINE_EDGE_TEXTS[3])
+    assert type(err.value) is TextSyntaxError and err.value.line == 3 and "GATEPHASEX" in str(err.value)
+    with pytest.raises(BadPayloadLengthError) as err:
+        parse_text(LINE_EDGE_TEXTS[4])
+    assert err.value.line == 2
+
+
+# --- mutated documents: the numpy readers against the per-value code ------------
+
+# bytes and words a mutation writes: number characters, JSON and text syntax,
+# the separators str.split(), str.splitlines() and JSON treat differently,
+# constants json.loads takes, and a second "angles" key
+MUTATION_PIECES = list("0123456789eE+-.,;[]{}\"") + ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\t", " ", "\n"]
+MUTATION_PIECES += ["NaN", "Infinity", "-Infinity", '"angles": [0.5], ', '"angles": ', "GATEY", "0E+50"]
+
+
+def small_passes_read(read, text):
+    """read(text) with passes of 64 values from 16 on, so that small documents take the numpy readers.
+
+    The byte passes take 64 bytes at a time, so tokens and line breaks cross their edges.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emitters, "_CHUNK", 64)
+        patch.setattr(emitters, "_VECTOR_MIN", 16)
+        patch.setattr(emitters, "_SEGMENT", 64)
+        return outcome(read, text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_tokens_line_breaks_and_control_bytes_across_segment_edges(fmt):
+    circuit = compile_real(recursive_csd(certify_unitary(ortho_group.rvs(16, random_state=3))))
+    if fmt == "text":
+        read = parse_text
+        # "\r\n" and form-feed line breaks, and a unit separator before each token that starts with 0
+        doc = emit_text(circuit, "exact").replace("\n", "\r\n").replace("\r\n  -", "\x0c  -").replace("  0", " \x1f0")
+        assert doc.count("\r\n") > 20 and doc.count("\x0c") > 5 and doc.count("\x1f") > 20
+    else:
+        read = parse_json
+        doc = emit_json(circuit).replace("\n", "\r\n")
+    want = reference_read(read, doc)
+    assert want == outcome(read, emit_json(circuit) if fmt == "json" else emit_text(circuit, "exact"))
+    assert want[0] == 4
+    # one of the 64 shifts puts any given byte of the document at a given place in its segment
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emitters, "_VECTOR_MIN", 16)
+        patch.setattr(emitters, "_CHUNK", 64)
+        patch.setattr(emitters, "_SEGMENT", 64)
+        for shift in range(64):
+            shifted = " " * shift + doc
+            assert outcome(read, shifted) == want
+            # read by the numpy reader, which a JSON document could leave to json.loads
+            assert emitters._text_table(shifted).buf is not None if fmt == "text" else not read_whole_by_json_loads(shifted)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_mutated_documents_read_as_the_per_value_code_reads_them(fmt):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    write, read = (lambda c: emit_text(c, "exact"), parse_text) if fmt == "text" else (emit_json, parse_json)
+    real = compile_real(recursive_csd(certify_unitary(ortho_group.rvs(32, random_state=1))))
+    complex_ = compile_complex(recursive_csd(certify_unitary(unitary_group.rvs(16, random_state=2))))
+    docs = [write(real), write(complex_)]
+    # the unmutated documents take the numpy readers
+    with pytest.MonkeyPatch.context() as patch:
+        proven = []
+        fast_turns = emitters._fast_turns
+
+        def counted(*args):
+            converted = fast_turns(*args)
+            proven.append(converted.sum())
+            return converted
+
+        patch.setattr(emitters, "_fast_turns", counted)
+        patch.setattr(emitters, "_CHUNK", 64)
+        assert not any(read_whole_by_json_loads(emit_json(c)) for c in (real, complex_))
+        small_passes_read(parse_text, emit_text(real, "exact"))
+        assert sum(proven) == 497  # the 496 angles and the phase
+        patch.setattr(emitters, "_CHUNK", 1 << 62)  # as reference_read sets it
+        assert all(read_whole_by_json_loads(emit_json(c)) for c in (real, complex_))
+
+    @st.composite
+    def mutated(draw):
+        doc = draw(st.sampled_from(docs))
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(doc)))
+            op = draw(st.sampled_from(["substitute", "delete", "insert"]))
+            if op == "delete":
+                doc = doc[:at] + doc[at + draw(st.integers(1, 3)) :]
+            else:
+                piece = draw(st.sampled_from(MUTATION_PIECES))
+                doc = doc[:at] + piece + doc[at + (op == "substitute") :]
+        return doc
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutated())
+    def check(doc):
+        assert small_passes_read(read, doc) == reference_read(read, doc)
+
+    check()

@@ -194,6 +194,12 @@ def test_apply_rejects_wrong_length():
         apply_to_state(Circuit(2, ()), np.ones(3))
 
 
+@pytest.mark.parametrize("psi", [1.0, np.float64(1.0), np.ones((2, 1, 1))], ids=["scalar", "0-d", "3-d"])
+def test_apply_rejects_a_state_that_is_not_a_vector_or_stack(psi):
+    with pytest.raises(LengthMismatchError):
+        apply_to_state(Circuit(1, ()), psi)
+
+
 def test_a_qubit_count_too_large_to_build_is_a_mismatch():
     huge = Circuit(10**30, ())
     with pytest.raises(LengthMismatchError):
