@@ -652,8 +652,9 @@ class _TextBytes:
         ends = np.append(breaks, _MARGIN + len(text))
         if starts[-1] == ends[-1]:  # nothing follows the last line break
             starts, ends = starts[:-1], ends[:-1]
-        first_tokens = np.searchsorted(token_starts, starts)
-        counts = np.searchsorted(token_starts, ends) - first_tokens
+        # keys of the spans' own dtype: int64 keys would widen a copy of every span
+        first_tokens = np.searchsorted(token_starts, starts.astype(token_starts.dtype))
+        counts = np.searchsorted(token_starts, ends.astype(token_starts.dtype)) - first_tokens
         firsts = np.where(counts > 0, np.append(token_starts, 0)[first_tokens], ends)
         self.text = text
         self.starts = (starts - _MARGIN).tolist()
@@ -1058,7 +1059,7 @@ def _angle_lists(text: str) -> tuple[dict, list[np.ndarray]]:
         raise _Fallback
     buf = _padded_bytes(text)
     token_starts, token_ends, _ = _token_edges(buf, b" ,[]\t\n\r")
-    bounds = np.array(spans) + _MARGIN
+    bounds = (np.array(spans) + _MARGIN).astype(token_starts.dtype)  # see _TextBytes
     firsts = np.searchsorted(token_starts, bounds[:, 0])
     sizes = np.searchsorted(token_starts, bounds[:, 1]) - firsts
     index = _ranges(firsts, sizes)

@@ -8,26 +8,31 @@ Conventions (fixed package-wide):
     R_z(2p) = diag(e^{ip}, e^{-ip}) act on the target-bit pair of every
     pattern; a Pi flag applies diag(1, -1).
 
-Evaluation (``circuit_matrix``, ``apply_to_state`` and ``verify``) rests on
-one in-place gate kernel.  It views the state, a vector or a (2**n, k) column
-stack, as a (2,)*n + (-1,) tensor whose axis q-1 is qubit q, and broadcasts
-each gate's payload against the whole view: reshaped to 2 per control,
-transposed into qubit order, size 1 on every other axis, then paired on the
-target axis (target bit 0, target bit 1).  R_z and Pi are one multiply by
-such a pair; R_y multiplies by cos and adds the sin terms, which a flip of
-the target axis hands from each row to its partner.
+Evaluation (``circuit_matrix``, ``apply_to_state`` and ``verify``) applies
+gates one by one through an in-place kernel, or in fused runs (below).  The
+kernel views the state, a vector or a (2**n, k) column stack, as a
+(2,)*n + (-1,) tensor whose axis q-1 is qubit q, and broadcasts each gate's
+payload against the whole view: reshaped to 2 per control, transposed into
+qubit order, size 1 on every other axis, then paired on the target axis
+(target bit 0, target bit 1).  R_z and Pi are one multiply by such a pair;
+R_y multiplies by cos and adds the sin terms, which a flip of the target
+axis hands from each row to its partner.
 
 A gate changes only its target bit, so a run of gates whose targets lie in a
 set T of j qubits is block-diagonal over the other qubits, with 2**(n-j)
 blocks of size 2**j.  On a circuit of more than 4 qubits and a stack of at
 least 64 columns, ``apply_to_state`` splits the gates greedily into runs on
 at most 4 targets; a global phase is a scalar, applied at once, and never
-ends a run.  The gates of a run build its blocks on a (2**n, 2**j) tiled
-identity, and one batched matmul applies them to the state viewed with the
-target axes last.  In a CSD circuit's ruler order (targets n, n-1, n, n-2,
-...) about half the runs hold the trailing qubits, where that view is a
-reshape; the others cost a copy.  Narrower stacks, smaller circuits and runs
-of fewer than 3 gates go gate by gate.
+ends a run.  Runs of one shape (the same kinds of gate on the same places
+among their targets, as a CSD circuit's ruler order repeats them) build
+their blocks together, from their payloads: each block of each run is one
+instance of an array that starts as the identity, and each gate position is
+a few passes over all instances at once, in batches sized to stay in cache.
+One batched matmul then applies a run's blocks to the state.  The state goes
+from run to run in a permuted qubit order that puts each run's targets next
+to each other, so a run reads it as a view and writes its product whole;
+qubit order 1..n comes back once, at the end.  Narrower stacks, smaller
+circuits and runs of fewer than 3 gates go gate by gate.
 
 Field rule: a circuit is real when it holds no R_z gate and every global
 phase is exactly 0 or +-pi, whose factor cos(phase) is exactly +-1.  A real
@@ -62,18 +67,25 @@ DENSE_QUBIT_CAP = 10
 SAMPLED_VERIFY_TOL = 1e-8
 # global phases whose factor cos(phase) = +-1 keeps a circuit real
 _REAL_PHASES = (0.0, np.pi)
-# Fused evaluation (1 BLAS thread, best of 100 in-process timings against
-# the per-gate loop): 4 targets per run took the walk-n8 seed-0 circuit's
-# apply_to_state(eye) from 50 to 14 ms, a Haar n = 7 circuit's from 17 to
-# 8 ms and a ruler-order n = 10 circuit's from about 7 s to 1 s; 3 targets
-# were slower on all three, and 5 slower up to n = 8.  Building the blocks
-# costs as much as applying the run to 2**4 columns, so a stack narrower
-# than 64 columns (a vector, a dense n <= 5 rebuild) is cheaper gate by
-# gate.  Runs of 1 or 2 gates, rare in CSD circuits, go gate by gate too,
-# which keeps one-gate circuits bit-exact to the gate kernel.
+# Fused evaluation, timed with 1 BLAS thread on a 2-core Xeon (AVX-512) as
+# medians of in-process runs that alternate with the earlier evaluation,
+# whose runs built their blocks gate by gate on a tiled identity.  Against
+# it, 4 targets per run took apply_to_state(eye) to 0.64 of its time on the
+# walk-n8 seed-0 circuit, 0.67 on a Haar n = 7 circuit and 0.84-0.86 on
+# n = 6 ones; 3 targets did as well up to n = 8 and on the n = 12 stacks of
+# benchmarks/bench_eval.py, but no better than it on the complex n = 10
+# rebuild (0.99 against 0.78); 5 targets were slower than 4 up to n = 8 and
+# on the n = 12 stacks.  Fusing a 32-column stack (a dense n = 5 rebuild)
+# was 1.3-1.7 times slower than gate by gate, so a stack narrower than 64
+# columns, like a vector, goes gate by gate.  Runs of 1 or 2 gates, rare in
+# CSD circuits, go gate by gate too, which keeps one-gate circuits
+# bit-exact to the gate kernel.  A build holds at most _BUILD_ENTRIES
+# floats (512 KB, a quarter of the 2 MB L2): half that was slower on the
+# n = 10 and 12 cases, twice that on the n = 12 stacks.
 _BLOCK_QUBITS = 4
 _MIN_RUN = 3
 _MIN_FUSE_COLUMNS = 64
+_BUILD_ENTRIES = 1 << 16
 
 
 class Axis(Enum):
@@ -260,45 +272,6 @@ def _apply_gate(state: np.ndarray, g: Gate, n: int) -> None:
     x += np.flip(w, axis)
 
 
-def _apply_run(state: np.ndarray, run: list, n: int) -> np.ndarray:
-    """Apply a run of rotations and Pi gates as one block-diagonal matmul.
-
-    With T the run's j targets, the run acts on each pattern of the other
-    qubits as one 2**j x 2**j block.  The gates build all blocks at once on a
-    tiled identity, a (2**n, 2**j) stack whose column c is 1 on every row
-    whose target bits spell c: viewed with the target axes last, the result
-    is the stack of blocks, and one matmul applies it to the state viewed the
-    same way.  Returns the new state; the input's memory may be reused.
-    """
-    axes = sorted({g.target - 1 for g in run})
-    j = len(axes)
-    z = any(getattr(g, "axis", None) is Axis.Z for g in run)
-    # an R_y/Pi run has real blocks: on a complex state they act on its float64 view
-    x = state if z or state.dtype == np.float64 else state.view(np.float64)
-    shape = [1] * n + [1 << j]
-    for a in axes:
-        shape[a] = 2
-    blocks = np.zeros((2,) * n + (1 << j,), np.complex128 if z else np.float64)
-    blocks[...] = np.eye(1 << j).reshape(shape)
-    blocks = blocks.reshape(1 << n, 1 << j)
-    for g in run:
-        _apply_gate(blocks, g, n)
-    last = range(n - j, n)
-    blocks = np.moveaxis(blocks.reshape((2,) * n + (-1,)), axes, last)
-    blocks = blocks.reshape(-1, 1 << j, 1 << j)
-    # a reshape when T holds the trailing qubits, else a copy
-    stack = np.moveaxis(x.reshape((2,) * n + (-1,)), axes, last)
-    stack = stack.reshape(blocks.shape[0], 1 << j, -1)
-    if axes[0] == n - j:
-        return np.matmul(blocks, stack).reshape(x.shape).view(state.dtype)
-    # x is free once copied: the product goes into its memory in the stack's
-    # axis order, then back into qubit order in the copy's memory
-    product = np.matmul(blocks, stack, out=x.reshape(stack.shape)).reshape((2,) * n + (-1,))
-    out = stack.reshape(product.shape)
-    out[...] = np.moveaxis(product, last, axes)
-    return out.reshape(x.shape).view(state.dtype)
-
-
 def apply_to_state(circuit: Circuit, psi) -> np.ndarray:
     """Apply a circuit to a (2**n,) vector or (2**n, k) stack without materializing matrices.
 
@@ -312,14 +285,11 @@ def apply_to_state(circuit: Circuit, psi) -> np.ndarray:
     real = _is_real(circuit.gates) and not np.iscomplexobj(v)
     v = np.array(v, dtype=np.float64 if real else np.complex128, order="C")
     n = circuit.n_qubits
-    fuse = n > _BLOCK_QUBITS and v.size >> n >= _MIN_FUSE_COLUMNS
-    for run in _runs(circuit.gates) if fuse else (circuit.gates,):
-        if fuse and len(run) >= _MIN_RUN:
-            v = _apply_run(v, run, n)
-        else:
-            for g in run:
-                _apply_gate(v, g, n)
-    return v
+    if n <= _BLOCK_QUBITS or v.size >> n < _MIN_FUSE_COLUMNS:
+        for g in circuit.gates:
+            _apply_gate(v, g, n)
+        return v
+    return _apply_runs(v, list(_runs(circuit.gates)), n, _MIN_RUN)
 
 
 def _runs(gates):
@@ -338,6 +308,253 @@ def _runs(gates):
         run.append(g)
         targets.add(g.target)
     yield run
+
+
+def _apply_runs(state: np.ndarray, runs: list, n: int, min_run: int) -> np.ndarray:
+    """Apply runs of gates to a C-ordered (2**n,) vector or (2**n, k) stack.
+
+    A run of at least ``min_run`` rotations and Pi gates is applied as one
+    block-diagonal matmul; shorter runs and global phases go gate by gate.
+    The state is carried from run to run in the qubit order that lets each
+    run read it as a view (see _layouts) and put back in qubit order 1..n at
+    the end.  Returns the new state; the input's memory may be reused.
+    """
+    fused = [len(run) >= min_run and not isinstance(run[0], GlobalPhase) for run in runs]
+    todo = [run for run, f in zip(runs, fused) if f]
+    slots = [{q: s for s, q in enumerate(dict.fromkeys(g.target for g in run))} for run in todo]
+    plans = _layouts(slots, n)
+    # a run's build depends, beyond its payloads and qubit numbers, on the
+    # axis (None: Pi) of each gate and the slot of its target, a slot being
+    # a target's place in order of first use
+    shapes = [
+        tuple((getattr(g, "axis", None), slot[g.target]) for g in run)
+        for run, slot in zip(todo, slots)
+    ]
+    # the blocks built ahead of their runs never outgrow the state fourfold
+    # nor one build's cache-sized budget, in floats
+    budget = min(4 * state.size * state.itemsize // 8, _BUILD_ENTRIES)
+    blocks = {}
+    buf, spare = state, np.empty_like(state)
+    natural = order = tuple(range(1, n + 1))
+    i = 0
+    for run, f in zip(runs, fused):
+        if not f:
+            view = _reorder(buf, order, natural, n)
+            for g in run:
+                _apply_gate(view, g, n)
+            continue
+        if i not in blocks:
+            # the runs of this shape among the next ones whose blocks fit the budget
+            floats = 1 << (n + len(slots[i]) + any(axis is Axis.Z for axis, _ in shapes[i]))
+            ahead = range(i, min(len(todo), i + max(1, budget // floats)))
+            group = [m for m in ahead if shapes[m] == shapes[i]]
+            built = _build_blocks(
+                [todo[m] for m in group], [slots[m] for m in group], [plans[m] for m in group], n
+            )
+            blocks.update(zip(group, built))
+        b = blocks.pop(i)
+        before, rows_in, others, rows_out = plans[i]
+        if before != order:  # only where no earlier run could line the targets up
+            spare.reshape((2,) * n + (-1,))[...] = _reorder(buf, order, before, n)
+            buf, spare = spare, buf
+        j = len(rows_in)
+        x, out = buf, spare
+        if b.dtype == np.float64 and buf.dtype == np.complex128:  # real blocks: the float64 view
+            x, out = buf.view(np.float64), spare.view(np.float64)
+        # the targets lie next to each other, so the stack is a view of the state
+        stack = _reorder(x, before, others + rows_in, n).reshape((2,) * (n - j) + (1 << j, -1))
+        ascending = sorted(others)
+        b = b.reshape((2,) * (n - j) + b.shape[1:]).transpose(
+            [ascending.index(q) for q in others] + [n - j, n - j + 1]
+        )
+        np.matmul(b, stack, out=out.reshape(stack.shape))
+        buf, spare = spare, buf
+        order = others + rows_out
+        i += 1
+    if order != natural:
+        spare.reshape((2,) * n + (-1,))[...] = _reorder(buf, order, natural, n)
+        buf = spare
+    return buf
+
+
+def _reorder(buf: np.ndarray, order: tuple, new: tuple, n: int) -> np.ndarray:
+    """A state held in qubit order ``order`` as a (2,)*n + (k,) view in qubit order ``new``."""
+    at = {q: p for p, q in enumerate(order)}
+    return buf.reshape((2,) * n + (-1,)).transpose([at[q] for q in new] + [n])
+
+
+def _layouts(slots: list, n: int) -> list:
+    """The qubit order of the state before and after each fused run.
+
+    ``slots`` holds each run's targets.  Returns per run (order before, its
+    targets in that order, the other qubits and the targets in the order
+    after).  A run reads the state as a view when its targets lie next to
+    each other in the order before it, so each run writes its output with
+    the next run's targets next to each other: those among its other qubits
+    last of them, and those among its own targets first of them.
+    """
+    order = tuple(range(1, n + 1))
+    plans = []
+    for i, targets in enumerate(slots):
+        at = sorted(order.index(q) for q in targets)
+        if at[-1] - at[0] != len(at) - 1:
+            order = tuple(sorted(order, key=lambda q: q in targets))
+            at = range(n - len(at), n)
+        rows, others = order[at[0] : at[-1] + 1], order[: at[0]] + order[at[-1] + 1 :]
+        if i + 1 < len(slots):
+            nxt = slots[i + 1]
+            others = tuple(sorted(others, key=lambda q: q in nxt))
+            rows_out = tuple(sorted(rows, key=lambda q: q not in nxt))
+        else:
+            others, rows_out = tuple(sorted(others)), tuple(sorted(rows))
+        plans.append((order, rows, others, rows_out))
+        order = others + rows_out
+    return plans
+
+
+def _coefficients(payloads: np.ndarray, g, qubits: list, others: list) -> np.ndarray:
+    """Payloads (K runs, P positions, 2**len(controls)) shaped against half a build.
+
+    The positions share g's target and controls.  ``qubits`` are the run's
+    targets in the build's row order.  The result has a position axis, one
+    axis of size 2 per target but g's, a column axis of size 1, then one
+    axis over the runs and, within each, the patterns of ``others`` in
+    ascending order.
+    """
+    k, positions = payloads.shape[:2]
+    axis = {c: p for p, c in enumerate(g.controls, 2)}
+    qubits = [q for q in qubits if q != g.target] + [0] + others
+    axis[0] = 0
+    a = payloads.reshape((k, positions) + (2,) * len(g.controls))
+    a = a.transpose([1] + [axis[q] for q in qubits if q in axis])
+    shape = [positions] + [k if q == 0 else 2 for q in qubits]
+    if len(axis) < len(qubits):  # some qubit is not a control: the payload repeats over it
+        a = a.reshape([positions] + [k if q == 0 else 2 if q in axis else 1 for q in qubits])
+        a = np.broadcast_to(a, shape)
+    a = np.ascontiguousarray(a).reshape(shape)
+    return a.reshape(shape[: len(qubits) - len(others)] + [1, -1])
+
+
+def _cos_sin(a: np.ndarray) -> tuple:
+    """cos(a) and sin(a) from t = tan(a/2), within 2.3e-16 of np.cos and np.sin.
+
+    numpy's float64 tan is vectorized where its sin and cos are not: on a
+    2-core Xeon (AVX-512) with numpy 2.4, np.sin and np.cos took 24 ns a
+    value against 2.8 ns for np.tan, and the trig was a tenth of the
+    walk-n8 circuit's dense rebuild.
+    """
+    t = np.tan(0.5 * a)
+    square = t * t
+    d = 1.0 + square
+    return (1.0 - square) / d, (t + t) / d
+
+
+def _rotate(u, v, c, s, t):
+    """u, v = c*u + s*v, c*v - s*u in place; s is overwritten, t is scratch of u's shape."""
+    np.multiply(s, v, out=t)
+    s *= u
+    u *= c
+    u += t
+    v *= c
+    v -= s
+
+
+def _build_blocks(runs: list, slots: list, plans: list, n: int) -> list:
+    """The blocks of runs of one shape, built together.
+
+    A run on j targets acts on each pattern of its other qubits as one block
+    of size 2**j.  Every block of every run is one instance of the build, an
+    array (row bit, ..., column, instance) that starts as the identity; each
+    gate position then acts on the row bits of all instances at once, as
+    _apply_gate acts on a state.  The row bits go from the most used target
+    outwards, so a gate's two halves are long contiguous spans; the
+    instances run innermost, and a build holds at most _BUILD_ENTRIES
+    floats, so each pass stays in cache.  A complex build keeps complex
+    entries: R_z multiplies the halves by e^{+-ia}, and the real gates act
+    on its float64 view, re and im alike.  Returns, per run, its blocks as
+    (patterns of the other qubits in ascending order, rows in the order
+    after the run, columns in the order before it).
+    """
+    first, slot = runs[0], slots[0]
+    uses = {}
+    for g in first:
+        uses[slot[g.target]] = uses.get(slot[g.target], 0) + 1
+    rows = sorted(uses, key=lambda s: (-uses[s], s))
+    cols = [slot[q] for q in plans[0][1]]
+    j, patterns = len(rows), 1 << (n - len(rows))
+    z = any(getattr(g, "axis", None) is Axis.Z for g in first)
+    # runs on the same qubits with the same controls share each transposition
+    layouts = {}
+    for r, run in enumerate(runs):
+        layouts.setdefault(tuple(slots[r]) + tuple(g.controls for g in run), []).append(r)
+    members = [r for rs in layouts.values() for r in rs]
+    qubits = []
+    for rs in layouts.values():
+        by_slot = {s: q for q, s in slots[rs[0]].items()}
+        others = [q for q in range(1, n + 1) if q not in slots[rs[0]]]
+        qubits.append(([by_slot[s] for s in rows], others))
+    # positions whose gates share kind, target and controls in every run
+    # share each transposition and the trig calls
+    sharing = {}
+    for p, g in enumerate(first):
+        controls = tuple(runs[rs[0]][p].controls for rs in layouts.values())
+        key = (isinstance(g, PiGate), slot[g.target]) + controls
+        sharing.setdefault(key, []).append(p)
+    terms = [None] * len(first)
+    for (pi, _, *_), ps in sharing.items():
+        parts = []
+        for rs, (targets, others) in zip(layouts.values(), qubits):
+            if pi:
+                payloads = np.where([[runs[r][p].flags for p in ps] for r in rs], -1.0, 1.0)
+            else:
+                payloads = np.array([[runs[r][p].angles for p in ps] for r in rs])
+            parts.append(_coefficients(payloads, runs[rs[0]][ps[0]], targets, others))
+        a = np.concatenate(parts, -1) if len(parts) > 1 else parts[0]
+        term = (a,) if pi else _cos_sin(a)
+        if z:  # the real gates act on the float64 view: re and im alike
+            term += tuple(np.repeat(t, 2, -1) for t in term)
+        for i, p in enumerate(ps):
+            terms[p] = tuple(t[i] for t in term)
+    dtype = np.complex128 if z else np.float64
+    blocks = [np.empty((patterns, 1 << j, 1 << j), dtype) for _ in runs]
+    at = np.arange(1 << j).reshape((2,) * j).transpose([rows.index(s) for s in cols]).reshape(-1)
+    total = len(runs) * patterns
+    step = max(1, _BUILD_ENTRIES >> (2 * j + z))
+    for x0 in range(0, total, step):
+        x1 = min(total, x0 + step)
+        f = np.zeros((2,) * j + (1 << j, x1 - x0), dtype)
+        f.reshape(1 << j, 1 << j, -1)[at, np.arange(1 << j)] = 1.0
+        fv = f.view(np.float64)
+        c, s, t = (np.empty(fv[0].shape) for _ in range(3))
+        for g, term in zip(first, terms):
+            lo = (slice(None),) * rows.index(slot[g.target]) + (0,)
+            hi = lo[:-1] + (1,)
+            if getattr(g, "axis", None) is Axis.Z:
+                e = c.view(np.complex128)
+                np.copyto(e.real, term[0][..., x0:x1])
+                np.copyto(e.imag, term[1][..., x0:x1])
+                u = f[lo]
+                u *= e
+                u = f[hi]
+                u *= np.conjugate(e, out=e)
+            elif isinstance(g, PiGate):
+                v = fv[hi]
+                v *= term[-1][..., x0 << z : x1 << z]
+            else:
+                np.copyto(c, term[-2][..., x0 << z : x1 << z])
+                np.copyto(s, term[-1][..., x0 << z : x1 << z])
+                _rotate(fv[lo], fv[hi], c, s, t)
+        f = f.reshape((2,) * (2 * j) + (x1 - x0,))
+        for m in range(x0 // patterns, (x1 - 1) // patterns + 1):
+            r = members[m]
+            _, rows_in, _, rows_out = plans[r]
+            perm = [2 * j] + [rows.index(slots[r][q]) for q in rows_out]
+            perm += [j + cols.index(slots[r][q]) for q in rows_in]
+            start, stop = max(x0, m * patterns), min(x1, (m + 1) * patterns)
+            dst = blocks[r][start - m * patterns : stop - m * patterns]
+            dst = dst.reshape((stop - start,) + (2,) * (2 * j))
+            dst[...] = f[..., start - x0 : stop - x0].transpose(perm)
+    return blocks
 
 
 def circuit_matrix(circuit: Circuit, tol: Tolerances = Tolerances()) -> UnitaryOperator:

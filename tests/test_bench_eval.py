@@ -17,13 +17,14 @@ def _load():
     return module
 
 
-def test_bench_eval_times_both_functions_at_four_qubits():
-    rows = _load().bench(dense=(4,), stack=4, columns=8, repeats=1, seed=0)
+def test_bench_eval_times_both_functions_at_six_qubits():
+    # six qubits and 64 columns: the smallest sizes whose runs are fused
+    rows = _load().bench(dense=(6,), stack=6, columns=64, repeats=1, seed=0)
     assert [(name, n, field) for name, n, field, _, _ in rows] == [
-        ("circuit_matrix", 4, "real"),
-        ("circuit_matrix", 4, "complex"),
-        ("apply_to_state[8]", 4, "real"),
-        ("apply_to_state[8]", 4, "complex"),
+        ("circuit_matrix", 6, "real"),
+        ("circuit_matrix", 6, "complex"),
+        ("apply_to_state[64]", 6, "real"),
+        ("apply_to_state[64]", 6, "complex"),
     ]
     for _, _, _, best, check in rows:
         assert best >= 0.0

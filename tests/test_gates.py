@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,13 +362,8 @@ def _gate_by_gate(circ: Circuit, psi) -> np.ndarray:
 
 def _every_run_fused(circ: Circuit, psi) -> np.ndarray:
     """apply_to_state with every run fused, whatever its length or the state's width."""
-    v = _field(circ, psi)
-    for run in gates._runs(circ.gates):
-        if run and isinstance(run[0], GlobalPhase):
-            gates._apply_gate(v, run[0], circ.n_qubits)
-        elif run:
-            v = gates._apply_run(v, run, circ.n_qubits)
-    return v
+    runs = [run for run in gates._runs(circ.gates) if run]
+    return gates._apply_runs(_field(circ, psi), runs, circ.n_qubits, min_run=1)
 
 
 def _gate_bound(circ: Circuit, psi) -> float:
@@ -435,6 +432,35 @@ def test_fused_runs_match_the_gate_kernel():
             assert np.array_equal(apply_to_state(circ, psi), expect)
 
     check()
+
+
+def _ruler_circuit(n: int, is_complex: bool, seed: int) -> Circuit:
+    """benchmarks/bench_eval.py's circuit with the gate layout of a compiled one."""
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_eval.py"
+    spec = importlib.util.spec_from_file_location("bench_eval", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ruler_circuit(n, is_complex, seed)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_fused_ruler_circuits_match_the_gate_kernel(n, is_complex):
+    # many runs per shape, runs on non-trailing targets, and R_z runs with
+    # complex blocks: what compiled circuits hold and drawn ones rarely do
+    circ = _ruler_circuit(n, is_complex, seed=n)
+    rng = np.random.default_rng(n)
+    for shape in [(1 << n,), (1 << n, 64), (1 << n, 128)]:
+        psi = rng.normal(size=shape)
+        for state in (psi, psi + 1j * rng.normal(size=shape)):
+            out = apply_to_state(circ, state)
+            expect = _gate_by_gate(circ, state)
+            assert out.dtype == expect.dtype and out.shape == state.shape
+            assert np.abs(out - expect).max() <= _gate_bound(circ, state)
+    eye = np.eye(circ.dim)
+    rebuilt = circuit_matrix(circ).mat
+    assert rebuilt.dtype == (np.complex128 if is_complex else np.float64)
+    assert np.abs(rebuilt - _gate_by_gate(circ, eye)).max() <= _gate_bound(circ, eye)
 
 
 def test_fused_walk_circuit_matches_the_gate_kernel():
