@@ -6,10 +6,12 @@ real circuit, a global phase and R_z gates for a complex one) followed by
 n-2, n, n-1, n, ..., each controlled by every other qubit, and each R_y
 followed by an R_z on the same target in the complex case.  This script
 builds such circuits from seeded random angles, so no CSD runs, and times
-``circuit_matrix`` (the dense rebuild behind ``verify`` up to 10 qubits) and
-``apply_to_state`` on a column stack (the sampled check above that).  The
-check column is the unitarity residual of the dense rebuild and the largest
-column-norm error of the stack.
+``circuit_matrix`` (the dense rebuild, as ``verify`` does it up to 10
+qubits, plus its certification) and ``apply_to_state`` on a column stack
+built as ``verify`` builds its probes above that: float64 Gaussian columns
+of unit norm, so a real circuit is evaluated in float64.  The check column
+is the unitarity residual of the dense rebuild and the largest column-norm
+error of the stack.
 
     python benchmarks/bench_eval.py                  # n = 8, 10 dense; n = 12, 64 columns
     python benchmarks/bench_eval.py --dense 6,8 --stack 10 --repeats 5
@@ -80,9 +82,8 @@ def bench(dense=(8, 10), stack=12, columns=64, repeats=3, seed=0):
             field = "complex" if is_complex else "real"
             rows.append(("circuit_matrix", n, field, best, rebuilt.unitarity_residual))
     if stack:
-        rng = np.random.default_rng(seed)
-        psi = np.zeros((1 << stack, columns), np.complex128)
-        psi[rng.choice(1 << stack, columns, replace=False), np.arange(columns)] = 1.0
+        psi = np.random.default_rng(seed).standard_normal((1 << stack, columns))
+        psi /= np.linalg.norm(psi, axis=0)
         for is_complex in (False, True):
             circuit = ruler_circuit(stack, is_complex, seed)
             best, out = _best(lambda: apply_to_state(circuit, psi), repeats)

@@ -697,7 +697,8 @@ def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
     record counting as qubit 1, unless given.  Records are checked in
     order and their angle tokens converted in numpy passes of at most _CHUNK
     tokens; an error is raised at the first record that has one, as if each
-    record were built before the next is read.
+    record were built before the next is read, except a NaN or infinite
+    angle: that is reported once every record has been read.
     """
     table = _text_table(text)
     gates: list = []

@@ -63,7 +63,7 @@ from .errors import (
 from .matrices import Tolerances, UnitaryOperator, certify_unitary
 
 DENSE_QUBIT_CAP = 10
-# limit of the sampled check above the dense cap
+# limit of the check on unit-norm Gaussian probes above the dense cap
 SAMPLED_VERIFY_TOL = 1e-8
 # global phases whose factor cos(phase) = +-1 keeps a circuit real
 _REAL_PHASES = (0.0, np.pi)
@@ -289,7 +289,7 @@ def apply_to_state(circuit: Circuit, psi) -> np.ndarray:
         for g in circuit.gates:
             _apply_gate(v, g, n)
         return v
-    return _apply_runs(v, list(_runs(circuit.gates)), n, _MIN_RUN)
+    return _apply_runs(v, list(_runs(circuit.gates)), n)
 
 
 def _runs(gates):
@@ -310,16 +310,16 @@ def _runs(gates):
     yield run
 
 
-def _apply_runs(state: np.ndarray, runs: list, n: int, min_run: int) -> np.ndarray:
+def _apply_runs(state: np.ndarray, runs: list, n: int) -> np.ndarray:
     """Apply runs of gates to a C-ordered (2**n,) vector or (2**n, k) stack.
 
-    A run of at least ``min_run`` rotations and Pi gates is applied as one
+    A run of at least _MIN_RUN rotations and Pi gates is applied as one
     block-diagonal matmul; shorter runs and global phases go gate by gate.
     The state is carried from run to run in the qubit order that lets each
     run read it as a view (see _layouts) and put back in qubit order 1..n at
     the end.  Returns the new state; the input's memory may be reused.
     """
-    fused = [len(run) >= min_run and not isinstance(run[0], GlobalPhase) for run in runs]
+    fused = [len(run) >= _MIN_RUN and not isinstance(run[0], GlobalPhase) for run in runs]
     todo = [run for run, f in zip(runs, fused) if f]
     slots = [{q: s for s, q in enumerate(dict.fromkeys(g.target for g in run))} for run in todo]
     plans = _layouts(slots, n)
@@ -572,12 +572,14 @@ def verify(
 ) -> float:
     """Reconstruction residual of a circuit against the operator it should implement.
 
-    Up to DENSE_QUBIT_CAP qubits the whole matrix is rebuilt and the limit is
-    ``tol.reconstruct``.  Beyond it, ``samples`` basis columns picked by a
-    generator seeded with 0 go through apply_to_state and the limit is
-    SAMPLED_VERIFY_TOL.  Returns the max-abs residual and raises
-    VerifyFailedError when it is above the limit or NaN, and OutOfRangeError
-    when ``samples`` is below 1.
+    The residual is the max-abs entry of apply_to_state(circuit, probes) minus
+    op.mat @ probes.  Up to DENSE_QUBIT_CAP qubits the probes are the identity
+    and the limit is ``tol.reconstruct``.  Beyond it they are ``samples`` real
+    Gaussian columns of unit norm, seeded with 0, and the limit is
+    SAMPLED_VERIFY_TOL: each probe mixes every column of the operator
+    (Freivalds' check), and real probes serve complex circuits too.  Returns
+    the residual and raises VerifyFailedError when it is above the limit or
+    NaN, and OutOfRangeError when ``samples`` is below 1.
     """
     if samples < 1:
         raise OutOfRangeError(f"verify needs at least 1 sample, got {samples}")
@@ -587,15 +589,12 @@ def verify(
             f"{(op.dim - 1).bit_length()}"
         )
     if circuit.n_qubits <= DENSE_QUBIT_CAP:
-        rebuilt, target, limit = circuit_matrix(circuit).mat, op.mat, tol.reconstruct
+        probes, target, limit = np.eye(op.dim), op.mat, tol.reconstruct
     else:
-        rng = np.random.default_rng(0)
-        picks = rng.choice(op.dim, size=min(samples, op.dim), replace=False)
-        batch = np.zeros((op.dim, picks.size))
-        batch[picks, np.arange(picks.size)] = 1.0
-        rebuilt, target = apply_to_state(circuit, batch), op.mat[:, picks]
-        limit = SAMPLED_VERIFY_TOL
-    residual = float(np.abs(rebuilt - target).max())
+        probes = np.random.default_rng(0).standard_normal((op.dim, min(samples, op.dim)))
+        probes /= np.linalg.norm(probes, axis=0)
+        target, limit = op.mat @ probes, SAMPLED_VERIFY_TOL
+    residual = float(np.abs(apply_to_state(circuit, probes) - target).max())
     if not residual <= limit:  # a NaN residual fails too
         raise VerifyFailedError(residual, limit)
     return residual

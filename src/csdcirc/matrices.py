@@ -73,14 +73,14 @@ def certify_unitary(m, tol: Tolerances = Tolerances()) -> UnitaryOperator:
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    d = a.shape[0]
-    residual = float(np.abs(a.conj().T @ a - np.eye(d)).max()) if d else 0.0
+    gram = a.conj().T @ a
+    gram.reshape(-1)[:: len(a) + 1] -= 1.0  # minus I, in place
+    # a real Gram matrix takes its abs in place: it is the only d x d temporary
+    residual = float(np.abs(gram, out=None if np.iscomplexobj(gram) else gram).max(initial=0.0))
+    del gram  # before the copy below
     if residual > tol.unitary:
         raise NotUnitaryError(residual, tol.unitary)
-    if np.iscomplexobj(a):
-        is_real = bool(np.abs(a.imag).max() <= tol.real) if d else True
-    else:
-        is_real = True
+    is_real = not np.iscomplexobj(a) or bool(np.abs(a.imag).max(initial=0.0) <= tol.real)
     a = a.copy()
     a.setflags(write=False)
     return UnitaryOperator(mat=a, is_real=is_real, unitarity_residual=residual)

@@ -64,20 +64,18 @@ def walk_unitary(g: Graph, tol: Tolerances = Tolerances()) -> tuple[UnitaryOpera
     if isolated.size:
         raise IsolatedNodeError(f"node {isolated[0] + 1} has no arcs")
     basis = arc_basis(g)
-    size = basis.size
-    coin = np.zeros((size, size))
-    offset = 0
-    for d in degrees:
-        coin[offset : offset + d, offset : offset + d] = 2.0 / d
-        coin[range(offset, offset + d), range(offset, offset + d)] -= 1.0
-        offset += d
     # arcs sort by the key source * N + destination, so searchsorted finds
     # the position of every reversed arc
     src, dst = np.nonzero(g.adjacency)
     n = g.node_count
     reverse = np.searchsorted(src * n + dst, dst * n + src)
-    step = np.zeros_like(coin)
-    step[reverse] = coin  # row permutation: (T C)[rev(a), :] = C[a, :]
+    # the coin's rows go straight to their reversed arcs: (T C)[rev(a), :] = C[a, :]
+    step = np.zeros((basis.size, basis.size))
+    offset = 0
+    for d in degrees:
+        step[reverse[offset : offset + d], offset : offset + d] = 2.0 / d
+        offset += d
+    step[reverse, np.arange(basis.size)] -= 1.0
     return certify_unitary(step, tol), basis
 
 

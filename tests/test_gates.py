@@ -245,6 +245,35 @@ def test_verify_sampled_path_above_the_dense_cap(monkeypatch):
         verify(Circuit(11, ()), identity)
 
 
+def _identity_but_last_columns(swap: bool) -> np.ndarray:
+    m = np.eye(1 << 11, dtype=np.complex128)
+    if swap:
+        m[:, [-2, -1]] = m[:, [-1, -2]]
+    else:
+        m[:, -1] *= np.exp(0.3j)
+    return m
+
+
+@pytest.mark.parametrize("swap", [True, False], ids=["swapped", "phased"])
+def test_verify_above_the_dense_cap_reads_every_column(swap):
+    # 64 basis columns picked with seed 0 miss columns 2046 and 2047; every probe reads them
+    op = certify_unitary(_identity_but_last_columns(swap))
+    with pytest.raises(VerifyFailedError) as err:
+        verify(Circuit(11, ()), op)
+    assert err.value.residual > 1e-3
+
+
+def test_verify_dense_path_does_not_certify_the_rebuild(monkeypatch):
+    op = certify_unitary(unitary_group.rvs(8, random_state=21))
+    circ = compile_complex(recursive_csd(op))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rebuild was certified")
+
+    monkeypatch.setattr(gates, "certify_unitary", refuse)
+    assert verify(circ, op) <= 1e-9
+
+
 @pytest.mark.parametrize("n", [2, 11], ids=["dense", "sampled"])
 @pytest.mark.parametrize("samples", [0, -3])
 def test_verify_needs_a_sample(n, samples):
@@ -363,7 +392,9 @@ def _gate_by_gate(circ: Circuit, psi) -> np.ndarray:
 def _every_run_fused(circ: Circuit, psi) -> np.ndarray:
     """apply_to_state with every run fused, whatever its length or the state's width."""
     runs = [run for run in gates._runs(circ.gates) if run]
-    return gates._apply_runs(_field(circ, psi), runs, circ.n_qubits, min_run=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "_MIN_RUN", 1)
+        return gates._apply_runs(_field(circ, psi), runs, circ.n_qubits)
 
 
 def _gate_bound(circ: Circuit, psi) -> float:

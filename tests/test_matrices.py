@@ -36,6 +36,21 @@ def test_certify_published_complex_matrix():
     assert not op.is_real
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        unitary_group.rvs(16, random_state=4).real,
+        unitary_group.rvs(16, random_state=5),
+        np.zeros((0, 0)),
+    ],
+    ids=["real", "complex", "empty"],
+)
+def test_certify_residual_is_the_gram_residual(a):
+    expected = np.abs(a.conj().T @ a - np.eye(len(a))).max(initial=0.0)
+    op = certify_unitary(a, Tolerances(unitary=10.0))
+    assert op.unitarity_residual == expected
+
+
 def test_certify_rejects_non_square():
     with pytest.raises(NotSquareError):
         certify_unitary(np.ones((2, 3)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,18 @@ def test_walk_unitary_is_translation_times_coin():
         t, c = translation_and_coin(g)
         assert np.array_equal(t @ t, np.eye(len(t)))
         assert np.array_equal(walk_unitary(g)[0].mat, t @ c)
+
+
+def test_walk_unitary_holds_two_dense_copies_at_most():
+    g = random_graph(40, 1001, seed=3)
+    tracemalloc.start()
+    try:
+        op, _ = walk_unitary(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the step and its certified copy, or the step and its Gram matrix
+    assert peak < 2.5 * op.mat.nbytes
 
 
 def test_walk_entries_come_from_coins():
