@@ -1,4 +1,4 @@
-"""Time the exact text and JSON codecs on seeded circuits shaped like CSD output.
+"""Time the exact text and JSON codecs, and the text matrix reader, on seeded inputs.
 
 The circuits are ``bench_eval.ruler_circuit``'s: a compiled circuit's gate
 layout with seeded random angles, so no CSD runs.  For each size and field
@@ -6,8 +6,14 @@ this script times, best of ``--repeats`` in-process runs, ``emit_text(c,
 "exact")``, ``parse_text`` of that text, ``emit_json`` and ``parse_json`` of
 that JSON, and checks that both documents read back as the circuit.
 
-    python benchmarks/bench_codec.py                     # n = 8, 10 and 12
-    python benchmarks/bench_codec.py --sizes 12 --fields real --repeats 1
+The matrices are 2**n x 2**n, written by ``format_matrix_text`` with seeded
+Gaussian entries scaled by 2**(-n/2), the size of a unitary's.  For each of
+``--matrix-sizes`` and field it times ``parse_matrix_text`` and its
+per-value reference, best of ``--repeats``, measures the ``tracemalloc``
+peak of one more call of each, and checks that both read the same bits.
+
+    python benchmarks/bench_codec.py                     # n = 8, 10 and 12; matrices at 7 and 10
+    python benchmarks/bench_codec.py --sizes 12 --fields real --repeats 1 --matrix-sizes ""
 """
 
 import argparse
@@ -15,6 +21,7 @@ import importlib.util
 import os
 import resource
 import time
+import tracemalloc
 from pathlib import Path
 
 # One BLAS thread, as bench_eval.py and pipebench pin.  The pools read this
@@ -22,7 +29,10 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
+
 from csdcirc import UniformRotation, emit_json, emit_text, parse_json, parse_text  # noqa: E402
+from csdcirc.matrices import _parse_matrix_per_value, format_matrix_text, parse_matrix_text  # noqa: E402
 
 
 def _bench_eval():
@@ -65,12 +75,45 @@ def bench(sizes=(8, 10, 12), repeats=5, seed=0, fields=("real", "complex")):
     return rows
 
 
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def bench_matrices(sizes=(7, 10), repeats=5, seed=0, fields=("real", "complex")):
+    """Rows of (reader, n, field, entries, best seconds, bytes, tracemalloc peak MiB) for each case."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in sizes:
+        for field in fields:
+            dim = 1 << n
+            m = rng.standard_normal((dim, dim))
+            if field == "complex":
+                m = m + 1j * rng.standard_normal((dim, dim))
+            text = format_matrix_text(m / np.sqrt(dim))
+            del m
+            got = {}
+            for name, read in (("parse_matrix_text", parse_matrix_text), ("per-value", _parse_matrix_per_value)):
+                best, got[name] = _best(lambda: read(text), repeats)
+                rows.append((name, n, field, dim * dim, best, len(text), _peak_mib(lambda: read(text))))
+            a, b = got.values()
+            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+                raise AssertionError(f"n = {n} {field}: parse_matrix_text and the per-value reader differ")
+            del text, got, a, b
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default="8,10,12", help="comma-separated qubit counts")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fields", default="real,complex", help="real, complex or both")
+    parser.add_argument("--matrix-sizes", default="7,10", help="comma-separated qubit counts of the matrix case")
     args = parser.parse_args()
 
     sizes = tuple(int(n) for n in args.sizes.split(",") if n)
@@ -78,6 +121,11 @@ def main():
     print(f"{'function':>12} {'n':>3} {'field':>8} {'angles':>9} {'best time':>12} {'MB':>8}")
     for name, n, field, angles, best, size in bench(sizes, args.repeats, args.seed, fields):
         print(f"{name:>12} {n:>3} {field:>8} {angles:>9} {best:>11.4f}s {size / 1e6:>8.2f}")
+    matrix_sizes = tuple(int(n) for n in args.matrix_sizes.split(",") if n)
+    if matrix_sizes:
+        print(f"{'reader':>17} {'n':>3} {'field':>8} {'entries':>9} {'best time':>12} {'MB':>8} {'peak MiB':>9}")
+    for name, n, field, entries, best, size, peak in bench_matrices(matrix_sizes, args.repeats, args.seed, fields):
+        print(f"{name:>17} {n:>3} {field:>8} {entries:>9} {best:>11.4f}s {size / 1e6:>8.2f} {peak:>9.1f}")
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bytescan import _CHUNK, _MARGIN, _fast_floats, _signed, _text_table, _TextBytes
 from .errors import JsonFormatError, NotSquareError, NotUnitaryError
 
 
@@ -129,7 +130,20 @@ def format_matrix_text(m) -> str:
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the text format; every entry goes through Python's float()."""
+    """Parse the text format; every entry is the double that float() makes of it.
+
+    An ASCII text of at least _VECTOR_MIN * _ROW bytes, as circuit texts, is
+    read in numpy passes over its bytes (_matrix_values).  A shorter or
+    non-ASCII text, or one the passes do not take, is read one token at a
+    time by _parse_matrix_per_value, the reference, which raises every error.
+    """
+    table = _text_table(text)
+    values = None if table.buf is None else _matrix_values(table)
+    return _parse_matrix_per_value(text) if values is None else values
+
+
+def _parse_matrix_per_value(text: str) -> np.ndarray:
+    """parse_matrix_text through str.split() and float(), one entry at a time."""
     tokens_by_line = [ln.split() for ln in text.splitlines()]
     rows = [t for t in tokens_by_line if t]
     if not rows:
@@ -151,6 +165,59 @@ def parse_matrix_text(text: str) -> np.ndarray:
             (re_s, im_s if comma else "0") for re_s, comma, im_s in pairs
         )
     values = np.fromiter(map(float, tokens), np.float64, (1 + is_complex) * d * d)
+    return (values.view(np.complex128) if is_complex else values).reshape(d, d)
+
+
+def _matrix_values(table: _TextBytes) -> np.ndarray | None:
+    """The matrix of a text's byte table, its values read in passes of at most _CHUNK; None if it is not taken.
+
+    Taken: a first line that holds d alone, as str(d) writes it, then d rows
+    of d entries, and in a complex text (one with a comma) no entry with a
+    comma at an end.  A digit alone, as %.17g writes 0 and 1, is read here:
+    most tokens of a sparse matrix are, and _fast_floats costs them more
+    than float() does.  _fast_floats reads the other tokens, float() those
+    whose rounding it does not prove; a token float() refuses sends the
+    text to the per-value code.
+    """
+    counts = np.array(table.counts)
+    rows = counts[counts > 0]
+    d = rows.size - 1
+    if d < 1 or rows[0] != 1 or np.any(rows[1:] != d) or table.head(int(np.flatnonzero(counts)[0])) != str(d):
+        return None
+    text, buf = table.text, table.buf
+    is_complex = "," in text
+    values = np.empty((1 + is_complex) * d * d)
+    step = _CHUNK >> is_complex  # entries per pass
+    for at in range(0, d * d, step):
+        starts = table.token_starts[1 + at : 1 + at + step].astype(np.intp)  # token 0 is d
+        ends = table.token_ends[1 + at : 1 + at + step].astype(np.intp)
+        if is_complex:
+            commas = np.flatnonzero(buf[starts[0] : ends[-1]] == ord(",")) + starts[0]
+            entry = np.searchsorted(starts, commas, "right") - 1
+            if np.any(commas == starts[entry]) or np.any(commas == ends[entry] - 1):
+                return None
+            cut = ends.copy()
+            cut[entry] = commas
+            # re before the comma and im after it; an entry without one has an empty im, read as 0,
+            # and one with two keeps a comma in re or im, which float() refuses
+            starts = np.column_stack([starts, cut + (cut < ends)]).ravel()
+            ends = np.column_stack([cut, ends]).ravel()
+        out = values[(1 + is_complex) * at :][: starts.size]
+        size = ends - starts
+        negative = buf[starts] == ord("-")
+        digit = (buf[ends - 1] - np.uint8(ord("0"))) * (size > 0)  # wraps below "0"
+        simple = (size == 0) | ((size == 1 + negative) & (digit <= 9))
+        out[:] = _signed(digit.astype(np.float64), negative)
+        rest = np.flatnonzero(~simple)
+        read = np.empty(rest.size)
+        proven = _fast_floats(buf, starts[rest], ends[rest], read)[1]
+        out[rest] = read
+        rest = rest[~proven]
+        spans = zip((starts[rest] - _MARGIN).tolist(), (ends[rest] - _MARGIN).tolist())
+        try:
+            out[rest] = [float(text[s:e]) for s, e in spans]
+        except ValueError:
+            return None
     return (values.view(np.complex128) if is_complex else values).reshape(d, d)
 
 

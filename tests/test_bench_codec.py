@@ -23,3 +23,12 @@ def test_bench_codec_times_all_four_functions_at_four_qubits():
     assert [angles for _, _, _, angles, _, _ in rows] == [120] * 4 + [255] * 4
     for _, _, _, _, best, size in rows:
         assert best >= 0.0 and size > 0
+
+
+def test_bench_codec_reads_text_matrices_at_six_qubits():
+    rows = _load().bench_matrices(sizes=(6,), repeats=1, seed=0)
+    assert [(name, n, field, entries) for name, n, field, entries, _, _, _ in rows] == [
+        (name, 6, field, 4096) for field in ("real", "complex") for name in ("parse_matrix_text", "per-value")
+    ]
+    for _, _, _, _, best, size, peak in rows:
+        assert best >= 0.0 and size > 0 and peak > 0

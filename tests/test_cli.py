@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
+from csdcirc import matrices
+from csdcirc._bytescan import _text_table
 from csdcirc.cli import main
 from csdcirc.emitters import parse_json, parse_text
 from csdcirc.errors import CsdcircError, JsonFormatError, TextSyntaxError
@@ -82,6 +84,16 @@ def test_walk_square_graph(tmp_path, capsys):
     assert np.array_equal(dumped, SQUARE_WALK)
     out = capsys.readouterr().out
     assert "total=18" in out
+
+
+def test_dumped_walk_matrix_compiles_to_the_walk_runs_exact_text(tmp_path, capsys):
+    walk = str(tmp_path / "walk")
+    assert main(["walk", "--random", "12", "--arcs", "61", "--seed", "5", "--dump-matrix", "--out", walk]) == 0
+    assert "qubits: 6" in capsys.readouterr().out
+    dumped = (tmp_path / "walk.mat").read_text()
+    assert matrices._matrix_values(_text_table(dumped)) is not None  # read by the numpy passes
+    assert main(["compile", walk + ".mat", "--out", str(tmp_path / "compiled")]) == 0
+    assert (tmp_path / "compiled.txt").read_bytes() == (tmp_path / "walk.txt").read_bytes()
 
 
 def test_walk_random_graph(tmp_path, capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
-from csdcirc import emitters
+from csdcirc import _bytescan, emitters
 from csdcirc.decompose import compile_complex, compile_real, recursive_csd
 from csdcirc.emitters import emit_json, emit_latex, emit_text, parse_json, parse_text
 from csdcirc.errors import BadPayloadLengthError, CsdcircError, TextSyntaxError
@@ -809,9 +809,15 @@ def reference_read(read, text):
     as _CHUNK // 4 rows.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(emitters, "_VECTOR_MIN", 1 << 62)
-        patch.setattr(emitters, "_CHUNK", 1 << 62)
+        set_pass_sizes(patch, _VECTOR_MIN=1 << 62, _CHUNK=1 << 62)
         return outcome(read, text)
+
+
+def set_pass_sizes(patch, **sizes):
+    """Set each size in emitters and in _bytescan, whose functions read their own copy."""
+    for name, size in sizes.items():
+        for module in (emitters, _bytescan):
+            patch.setattr(module, name, size)
 
 
 def outcome(read, text):
@@ -1012,9 +1018,7 @@ def small_passes_read(read, text):
     The byte passes take 64 bytes at a time, so tokens and line breaks cross their edges.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(emitters, "_CHUNK", 64)
-        patch.setattr(emitters, "_VECTOR_MIN", 16)
-        patch.setattr(emitters, "_SEGMENT", 64)
+        set_pass_sizes(patch, _CHUNK=64, _VECTOR_MIN=16, _SEGMENT=64)
         return outcome(read, text)
 
 
@@ -1034,9 +1038,7 @@ def test_tokens_line_breaks_and_control_bytes_across_segment_edges(fmt):
     assert want[0] == 4
     # one of the 64 shifts puts any given byte of the document at a given place in its segment
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(emitters, "_VECTOR_MIN", 16)
-        patch.setattr(emitters, "_CHUNK", 64)
-        patch.setattr(emitters, "_SEGMENT", 64)
+        set_pass_sizes(patch, _VECTOR_MIN=16, _CHUNK=64, _SEGMENT=64)
         for shift in range(64):
             shifted = " " * shift + doc
             assert outcome(read, shifted) == want

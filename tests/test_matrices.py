@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
-from scipy.stats import unitary_group
+from scipy.stats import ortho_group, unitary_group
 
+from csdcirc import _bytescan, matrices
+from csdcirc._bytescan import _text_table
 from csdcirc.errors import JsonFormatError, NotSquareError, NotUnitaryError
 from csdcirc.matrices import (
     Tolerances,
@@ -205,3 +209,143 @@ def test_parse_matrix_json_entries_must_be_numbers(dim, entries):
 def test_parse_matrix_json_real_defaults_to_false():
     back = parse_matrix_json('{"dim": 1, "entries": [[0.5, 0]]}')
     assert back.dtype == np.complex128 and back[0, 0] == 0.5
+
+
+# --- text matrices: the numpy reader against the per-value code ------------------
+
+
+def write_matrix(m: np.ndarray) -> str:
+    """A complex matrix file as the pipeline benchmark writes it: "re,im" entries in %.17g."""
+    rows = (" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) for row in m)
+    return f"{m.shape[0]}\n" + "\n".join(rows) + "\n"
+
+
+def matrix_outcome(read, text):
+    """The matrix read, as dtype, shape and bits, or the exception's type and message."""
+    try:
+        a = read(text)
+    except Exception as exc:  # the per-value code's own exceptions are the reference
+        return type(exc), str(exc)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def small_passes(patch):
+    """Passes of 64 values over 64-byte segments, so that tokens and commas cross their edges."""
+    patch.setattr(matrices, "_CHUNK", 64)
+    patch.setattr(_bytescan, "_SEGMENT", 64)
+
+
+def taken_by_numpy(text: str) -> bool:
+    table = _text_table(text)
+    return table.buf is not None and matrices._matrix_values(table) is not None
+
+
+def fast_float_counts(monkeypatch, text: str) -> tuple[int, int]:
+    """How many tokens parse_matrix_text gives _fast_floats, and how many of them it proves."""
+    given, proven = [], []
+    fast_floats = matrices._fast_floats
+
+    def counted(buf, starts, ends, out):
+        shape, converted = fast_floats(buf, starts, ends, out)
+        given.append(starts.size)
+        proven.append(int(converted.sum()))
+        return shape, converted
+
+    monkeypatch.setattr(matrices, "_fast_floats", counted)
+    matrix_outcome(parse_matrix_text, text)
+    return sum(given), sum(proven)
+
+
+def test_benchmark_shaped_complex_file_reads_without_float(monkeypatch):
+    text = write_matrix(unitary_group.rvs(128, random_state=7))
+    assert taken_by_numpy(text)
+    assert fast_float_counts(monkeypatch, text) == (2 * 128 * 128,) * 2  # no token left to float()
+    assert matrix_outcome(parse_matrix_text, text) == matrix_outcome(matrices._parse_matrix_per_value, text)
+
+
+def test_real_format_matrix_text_file_reads_without_float(monkeypatch):
+    text = format_matrix_text(ortho_group.rvs(128, random_state=7))
+    assert "," not in text and taken_by_numpy(text)
+    assert fast_float_counts(monkeypatch, text) == (128 * 128,) * 2
+    assert matrix_outcome(parse_matrix_text, text) == matrix_outcome(matrices._parse_matrix_per_value, text)
+
+
+def test_sparse_file_reads_its_digits_without_the_pass(monkeypatch):
+    # 0 and 1 entries, as in walk operators and padded identities, never reach _fast_floats or float()
+    text = format_matrix_text(np.eye(64) * 1j)
+    assert taken_by_numpy(text)
+    assert fast_float_counts(monkeypatch, text) == (0, 0)
+    assert np.array_equal(parse_matrix_text(text), np.eye(64) * 1j)
+
+
+BIG = write_matrix(unitary_group.rvs(16, random_state=3))  # 10 kB: read by the numpy reader
+
+
+@pytest.mark.parametrize(
+    "edit, taken",
+    [
+        (lambda t: t.replace("\n", "\r\n"), True),
+        (lambda t: t.replace(" ", "\t\x1f ").replace("\n", "\n\x0b\x1c\n"), True),
+        (lambda t: t.replace(",0.", ",+0.", 7).replace("e-", "E-", 3), True),
+        (lambda t: t.replace(t.split()[1], "1_0,nan", 1).replace(t.split()[2], "1e400,-0", 1), True),
+        (lambda t: re.sub(",[^ \n]+", "", t, count=5), True),  # re alone: im 0
+        (lambda t: "0" + t, False),  # the dimension as str() does not write it
+        (lambda t: "16 16" + t[2:], False),
+        (lambda t: t.replace("\n", " ", 2), False),  # row counts
+        (lambda t: t[: t.rindex(" ")] + "\n", False),  # an entry short
+        (lambda t: t.replace(",", ",,", 1), False),
+        (lambda t: t.replace(" ", " ,", 1), False),
+        (lambda t: t.replace(" ", ", ", 1), False),
+        (lambda t: t.replace(t.split()[1], "1.,-.5", 1), True),
+        (lambda t: t.replace(" ", " x", 1), False),  # not a number
+        (lambda t: t.replace(" ", "\xa0", 1), False),  # not ASCII
+        (lambda t: t[:5000], False),  # short
+    ],
+    ids=["crlf", "tab-us-vt-fs-blank", "plus-E", "underscore-nan-inf", "no-im", "dim-zero-padded", "dim-line",
+         "rows", "entries", "two-commas", "leading-comma", "trailing-comma", "bare-points", "word",
+         "non-ascii", "short"],
+)
+def test_matrix_text_edits_read_as_the_per_value_code_reads_them(edit, taken):
+    text = edit(BIG)
+    assert taken_by_numpy(BIG) and taken_by_numpy(text) == taken
+    assert matrix_outcome(parse_matrix_text, text) == matrix_outcome(matrices._parse_matrix_per_value, text)
+
+
+MATRIX_PIECES = list("0123456789eE+-.,_") + ["\r\n", "\r", "\t", "\x0b", "\x1c", "\n", "\n\n", " ", "\x85"]
+MATRIX_PIECES += ["1_0", "nan", "1e400", "-0", "1", "0,1"]
+
+
+def test_mutated_matrix_texts_read_as_the_per_value_code_reads_them():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    docs = [
+        write_matrix(unitary_group.rvs(14, random_state=1)),
+        format_matrix_text(ortho_group.rvs(20, random_state=2)),
+        write_matrix(np.eye(48) * (1 + 1j) / np.sqrt(2)).replace("\n", "\r\n").replace(" ", "\t"),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        small_passes(patch)
+        assert all(len(doc) >= 5632 and taken_by_numpy(doc) for doc in docs)
+
+    @st.composite
+    def mutated(draw):
+        doc = draw(st.sampled_from(docs))
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(doc)))
+            op = draw(st.sampled_from(["substitute", "delete", "insert"]))
+            if op == "delete":
+                doc = doc[:at] + doc[at + draw(st.integers(1, 3)) :]
+            else:
+                piece = draw(st.sampled_from(MATRIX_PIECES))
+                doc = doc[:at] + piece + doc[at + (op == "substitute") :]
+        return doc
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutated())
+    def check(doc):
+        want = matrix_outcome(matrices._parse_matrix_per_value, doc)
+        with pytest.MonkeyPatch.context() as patch:
+            small_passes(patch)
+            assert matrix_outcome(parse_matrix_text, doc) == want
+
+    check()
