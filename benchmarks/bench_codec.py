@@ -12,6 +12,13 @@ Gaussian entries scaled by 2**(-n/2), the size of a unitary's.  For each of
 per-value reference, best of ``--repeats``, measures the ``tracemalloc``
 peak of one more call of each, and checks that both read the same bits.
 
+The kernel rows time the number kernel that all three readers share alone,
+best of ``--repeats``, on one chunk of 8,192 tokens of each family: the
+exact-mode turns of seeded angles in (-pi, pi], those angles as ``repr``
+writes them in JSON, and seeded Gaussian entries as ``format_matrix_text``
+writes a 128 x 128 unitary's (``%.17g``).  Each row also gives the share of
+tokens the kernel proves; the rest go to the readers' per-value code.
+
     python benchmarks/bench_codec.py                     # n = 8, 10 and 12; matrices at 7 and 10
     python benchmarks/bench_codec.py --sizes 12 --fields real --repeats 1 --matrix-sizes ""
 """
@@ -32,6 +39,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from csdcirc import UniformRotation, emit_json, emit_text, parse_json, parse_text  # noqa: E402
+from csdcirc._bytescan import _INV_POW10, _padded_bytes, _read_decimals, _token_edges  # noqa: E402
+from csdcirc.emitters import _PI_POW10, _to_turns_exact  # noqa: E402
 from csdcirc.matrices import _parse_matrix_per_value, format_matrix_text, parse_matrix_text  # noqa: E402
 
 
@@ -107,6 +116,26 @@ def bench_matrices(sizes=(7, 10), repeats=5, seed=0, fields=("real", "complex"))
     return rows
 
 
+def bench_kernel(tokens=8192, repeats=5, seed=0):
+    """Rows of (family, tokens, best seconds, share proven): the number kernel alone on one chunk of each family."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-np.pi, np.pi, tokens).tolist()
+    entries = (rng.standard_normal(tokens) / np.sqrt(128)).tolist()
+    families = [
+        ("exact", [_to_turns_exact(a) for a in angles], _PI_POW10),
+        ("repr", [repr(a) for a in angles], _INV_POW10),
+        ("%.17g", [f"{x:.17g}" for x in entries], _INV_POW10),
+    ]
+    rows = []
+    for family, words, table in families:
+        buf = _padded_bytes("  ".join(words))
+        starts, ends, _ = _token_edges(buf, b" ")
+        starts, ends = starts.astype(np.intp), ends.astype(np.intp)
+        best, (_, _, proven) = _best(lambda: _read_decimals(buf, starts, ends, table), repeats)
+        rows.append((family, tokens, best, float(proven.mean())))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default="8,10,12", help="comma-separated qubit counts")
@@ -118,7 +147,8 @@ def main():
 
     sizes = tuple(int(n) for n in args.sizes.split(",") if n)
     fields = tuple(f for f in args.fields.split(",") if f)
-    print(f"{'function':>12} {'n':>3} {'field':>8} {'angles':>9} {'best time':>12} {'MB':>8}")
+    if sizes:
+        print(f"{'function':>12} {'n':>3} {'field':>8} {'angles':>9} {'best time':>12} {'MB':>8}")
     for name, n, field, angles, best, size in bench(sizes, args.repeats, args.seed, fields):
         print(f"{name:>12} {n:>3} {field:>8} {angles:>9} {best:>11.4f}s {size / 1e6:>8.2f}")
     matrix_sizes = tuple(int(n) for n in args.matrix_sizes.split(",") if n)
@@ -126,6 +156,9 @@ def main():
         print(f"{'reader':>17} {'n':>3} {'field':>8} {'entries':>9} {'best time':>12} {'MB':>8} {'peak MiB':>9}")
     for name, n, field, entries, best, size, peak in bench_matrices(matrix_sizes, args.repeats, args.seed, fields):
         print(f"{name:>17} {n:>3} {field:>8} {entries:>9} {best:>11.4f}s {size / 1e6:>8.2f} {peak:>9.1f}")
+    print(f"{'kernel':>17} {'tokens':>9} {'best time':>12} {'proven':>8}")
+    for family, tokens, best, proven in bench_kernel(repeats=args.repeats, seed=args.seed):
+        print(f"{family:>17} {tokens:>9} {best * 1e3:>10.3f}ms {proven:>8.4f}")
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
 
 

@@ -59,15 +59,6 @@ def _fast_two_sum(a, b):
     return s, b - (s - a)
 
 
-def _eight_digits(words: np.ndarray) -> np.ndarray:
-    """The numbers that little-endian words of 8 ASCII digits spell (SWAR)."""
-    w = words - np.uint64(0x3030303030303030)
-    w = (w * np.uint64(10 * 256 + 1)) >> np.uint64(8)
-    w = ((w & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 * 2**16 + 1)) >> np.uint64(16)
-    w = ((w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10**4 * 2**32 + 1)) >> np.uint64(32)
-    return w.astype(np.int64)
-
-
 def _dd(value: Decimal) -> tuple[float, float, float, float]:
     """value as hi + lo, and hi split for _two_prod; needs a precise context."""
     hi = float(value)
@@ -87,29 +78,37 @@ with localcontext(Context(prec=80)):
 # --- reading numbers in numpy ------------------------------------------------------
 #
 # The readers find their tokens in a document's bytes, padded with _MARGIN
-# spaces on each side, by whole-buffer passes, and read each token through
-# the 24 to 40 bytes around it, gathered at an offset that its length fixes
-# and viewed as uint64 words.  The bytes before a token's digits are set to
-# "0", and words of 8 ASCII digits become numbers by SWAR (Lemire, Softw.
-# Pract. Exp. 51, 2021).
-# _scale multiplies the digits' integer, below 10**25, by a double-double
-# table entry, _PI * 10**-k for exact-mode text and 10**-k for JSON and
-# matrix numbers, and rounds it; a result within _PARSE_TIE of a midpoint
-# between two doubles, where that rounding is not proven, is left to the
-# per-value code (Clinger, PLDI 1990).
+# spaces on each side, by whole-buffer passes, and hand their spans to
+# _read_numbers.  It reads them in passes of at most _CHUNK through one
+# kernel, _read_decimals, which takes one grammar:
+#
+#     [-]d[.D{1,30}][(e|E)(+|-)d{1,3}]
+#
+# a digit, up to 30 decimals and an exponent of 1 to 3 digits, with at most
+# 25 significant digits: the tokens of exact-mode text, and those repr and
+# %.17g write.  The kernel gathers the 32 bytes that end a token as four
+# uint64 words and finds an exponent in the last one; a token with an
+# exponent gathers the 32 bytes that end its mantissa as well.  The lead
+# digit takes the point's place, the bytes before it are set to "0", and
+# words of 8 ASCII digits become the integer D of the digits by SWAR
+# (Lemire, Softw. Pract. Exp. 51, 2021).  _scale multiplies D by a
+# double-double table entry, _PI * 10**-k for exact-mode text and 10**-k
+# for JSON and matrix numbers, and rounds it; a result within _PARSE_TIE of
+# a midpoint between two doubles, where that rounding is not proven, goes to
+# the caller's per-value code (Clinger, PLDI 1990), as does every token the
+# kernel does not take.
 
 # spaces on each side of a reader's bytes: as many as the 32 bytes a token's
-# read reaches back, and more than the 7 it reads past its end
+# read reaches back, and more than the 2 it reads past its end
 _MARGIN = 32
 # bytes a whole-buffer pass takes at once: about a chunk of exact-mode
 # tokens, which bounds the pass's temporaries
 _SEGMENT = _CHUNK * _ROW
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
-# the low 0 to 8 bytes of a word
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
-# offsets of the three words that hold 24 digits
-_WORD_STEPS = np.arange(0, 24, 8)
-_TEN_POWERS = 10 ** np.arange(17)
+# by the number j of bytes before a window's digits: masks that keep the other bytes of its four words
+_KEEP = ~np.array([[(1 << 8 * min(max(j - step, 0), 8)) - 1 for step in range(0, 32, 8)] for j in range(33)], np.uint64)
+# shifts that bring the bytes "e" or "E" and a sign before 1, 2 or 3 exponent digits down to the low 16 bits
+_MARK_SHIFTS = np.array([40, 32, 24], np.uint64)
 # the control bytes (below 32) that str.split() takes as whitespace, and
 # those where str.splitlines() ends a line
 _TEXT_SPACE = np.bincount([9, 10, 11, 12, 13, 28, 29, 30, 31], minlength=32).astype(bool)
@@ -134,7 +133,7 @@ def _token_edges(buf: np.ndarray, separators: bytes, control_space: np.ndarray |
     """
     edges, controls = [], []
     before = True  # buf[0] is a space
-    span = np.int32 if buf.size <= np.iinfo(np.int32).max else np.int64  # 8 bytes a token, not 16
+    span = _span_type(buf)
     for start in range(0, buf.size, _SEGMENT):
         part = buf[start : start + _SEGMENT]
         space = part == separators[0]
@@ -155,28 +154,44 @@ def _token_edges(buf: np.ndarray, separators: bytes, control_space: np.ndarray |
     return edges[0::2], edges[1::2], np.concatenate(controls or [np.empty(0, np.int64)])
 
 
-def _words(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
-    """The width bytes of buf from each offset in at, as (width // 8, len(at)) little-endian uint64s."""
-    windows = as_strided(buf, (buf.size - width + 1, width), (1, 1), writeable=False)
-    return windows[at].view("<u8").T
+def _offsets(buf: np.ndarray, byte: int, start: int, stop: int) -> np.ndarray:
+    """The offsets of byte in buf[start:stop], found a _SEGMENT at a time, in _token_edges's dtype."""
+    span = _span_type(buf)
+    found = [np.flatnonzero(buf[at : min(at + _SEGMENT, stop)] == byte) + at for at in range(start, stop, _SEGMENT)]
+    return np.concatenate([part.astype(span) for part in found] or [np.empty(0, span)])
 
 
-def _digit_check(words: np.ndarray) -> np.ndarray:
-    """Where each word is 8 ASCII digits: every byte's high nibble is 3, and still 3 after adding 6."""
-    high = np.uint64(0xF0F0F0F0F0F0F0F0)
-    nibbles = (words & high) | (((words + np.uint64(0x0606060606060606)) & high) >> np.uint64(4))
-    return nibbles == np.uint64(0x3333333333333333)
+def _span_type(buf: np.ndarray):
+    """int32 for offsets in buf where they fit: 4 bytes a token, not 8."""
+    return np.int32 if buf.size <= np.iinfo(np.int32).max else np.int64
 
 
-def _zero_filled(words: np.ndarray, count) -> np.ndarray:
-    """words with their low count bytes, the first count in memory, set to "0"."""
-    low = _LOW_BYTES[count]
-    return (words & ~low) | (_ASCII_ZEROS & low)
+def _windows(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The 32 bytes of buf from each offset in at, one row each."""
+    rows = np.ndarray((buf.size - 31,), "V32", buf, 0, (1,))  # one 32-byte item at each offset
+    return rows[at].view(np.uint8).reshape(-1, 32)
 
 
-def _last_digits(words: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Three rows of words holding 24 bytes, with all but the last count bytes of each column "0"."""
-    return _zero_filled(words, np.clip(24 - count - _WORD_STEPS[:, None], 0, 8))
+def _digit_values(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers that words of 8 digits spell, and where every byte is a digit.
+
+    words are ASCII words xor "00000000": a digit byte holds its value, and
+    any other byte a value above 9.  The numbers are read little-endian, by
+    SWAR, and hold where the check does.
+    """
+    w = words + np.uint64(0x7676767676767676)  # in place from here: (n, 4) temporaries cost page faults
+    w |= words
+    w &= np.uint64(0x8080808080808080)
+    digits = w == 0
+    np.multiply(words, np.uint64(10 * 256 + 1), out=w)
+    w >>= np.uint64(8)
+    w &= np.uint64(0x00FF00FF00FF00FF)
+    w *= np.uint64(100 * 2**16 + 1)
+    w >>= np.uint64(16)
+    w &= np.uint64(0x0000FFFF0000FFFF)
+    w *= np.uint64(10**4 * 2**32 + 1)
+    w >>= np.uint64(32)
+    return w.view(np.int64), digits
 
 
 def _scale(dh: np.ndarray, dl: np.ndarray, places: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +201,7 @@ def _scale(dh: np.ndarray, dl: np.ndarray, places: np.ndarray, table) -> tuple[n
     has a relative error below 9 * 2**-106; a result within _PARSE_TIE of a
     midpoint between two doubles is not proven.
     """
-    ch, cl, ch_hi, ch_lo = (column[places] for column in table)
+    ch, cl, ch_hi, ch_lo = (np.take(column, places) for column in table)
     vh, ve = _two_prod(dh, ch, ch_hi, ch_lo)
     vh, vl = _fast_two_sum(vh, ve + (dh * cl + dl * ch))
     # vh >= 0; the gap to its neighbour on vl's side (NaN for vh = 0)
@@ -199,52 +214,85 @@ def _signed(value: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return (value.view(np.uint64) | (negative.astype(np.uint64) << np.uint64(63))).view(np.float64)
 
 
-def _json_digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """(negative, digits, places, shape, ok) of the JSON numbers buf[starts:ends].
+def _read_decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, table):
+    """(values, shape, proven) of the tokens buf[starts:ends] of a _padded_bytes buffer, read with table.
 
-    shape holds for the forms repr writes with one digit before the point:
-    "d.<1 to 24 digits>", optionally followed by "e", a sign and 2 or 3
-    digits, and "d" with such an exponent, each with an optional "-".  ok
-    holds where such a number is digits, an integer below 10**17, times
-    10**-places for places from 0 to _PARSE_MAX_PLACES.
+    shape holds where a token is in the grammar above.  proven holds where,
+    besides, its digits spell an integer D below 10**25 and its decimals
+    less its exponent make a k from 0 to _PARSE_MAX_PLACES, or D is 0, and
+    where the rounding of D * table[k] is proven; values holds that
+    rounding, with the token's sign, where proven.
     """
     negative = buf[starts] == ord("-")
     s = starts + negative
-    size = ends - s
-    lead = buf[s].astype(np.int64) - ord("0")
     point = buf[s + 1] == ord(".")
-    # "e", a sign and 2 or 3 digits end a number with an exponent
-    two = (buf[ends - 4] == ord("e")) & (size >= 5)
-    three = (buf[ends - 5] == ord("e")) & (size >= 6) & ~two
-    mantissa_end = ends - 4 * two - 5 * three
-    places = point * (mantissa_end - s - 2)  # the decimals, until the exponent is known
-    decimals = places.copy()
-    digits = _last_digits(_words(buf, mantissa_end - 24, 24), places)
-    marked = np.ones(s.size, bool)
-    sci = np.flatnonzero(two | three)
+    window = _windows(buf, ends - 32)
+    size = ends - s  # of the mantissa, once an exponent is taken off
+    # "e" or "E" lies 3 to 5 bytes before the end of a token with an
+    # exponent; no digit, point or sign byte has bit 0x40 set
+    last = window[:, 24:].view("<u8")[:, 0]
+    sci = np.flatnonzero(last & np.uint64(0x404040 << 24))
     if sci.size:
-        count = (2 + three[sci]).astype(np.uint64)
-        tail = _words(buf, ends[sci] - 8, 8)[0]
-        marker = (tail >> (np.uint64(48) - np.uint64(8) * count)) & np.uint64(0xFFFF)
-        exponent = _zero_filled(tail, np.uint64(8) - count)
-        minus = marker == ord("e") | ord("-") << 8
-        marked[sci] = (minus | (marker == ord("e") | ord("+") << 8)) & _digit_check(exponent)
-        places[sci] += (2 * minus - 1) * _eight_digits(exponent)
-    shape = (lead >= 0) & (lead <= 9) & marked & _digit_check(digits).all(axis=0)
-    shape &= np.where(point, (decimals >= 1) & (decimals <= 24), (mantissa_end == s + 1) & (two | three))
-    a, b, c = _eight_digits(digits)
-    ok = shape & (a <= 9) & ((lead == 0) | (decimals <= 16)) & (places >= 0) & (places <= _PARSE_MAX_PLACES)
-    integer = ok * (lead * _TEN_POWERS[np.clip(decimals, 0, 16)] + a * 10**16 + b * 10**8 + c)
-    return negative, integer, ok * places, shape, ok
+        tail = last[sci]
+        marks = (tail[:, None] >> _MARK_SHIFTS) & np.uint64(0xFFDF)  # "e" folded to "E", and the byte after it
+        marked = (marks == ord("E") | ord("+") << 8) | (marks == ord("E") | ord("-") << 8)
+        found = marked.any(axis=1)
+        sci, tail, count = sci[found], tail[found], marked[found].argmax(axis=1) + 1
+        sign = (tail >> (np.uint64(56) - np.uint64(8) * count.astype(np.uint64))) & np.uint64(0xFF)
+        exponent, exponent_digits = _digit_values((tail ^ _ASCII_ZEROS) & _KEEP[32 - count, 3])  # its count bytes
+        size[sci] -= 2 + count
+        window[sci] = _windows(buf, ends[sci] - 34 - count)
+    # the lead digit takes the point's place, and the bytes before it count as "0"
+    places = point * (size - 2)  # the decimals, until the exponent is known
+    before = np.maximum(31 - places, 0)
+    window.reshape(-1)[np.arange(0, window.size, 32) + before] = buf[s]
+    words = window.view("<u8")
+    words ^= _ASCII_ZEROS
+    words &= np.take(_KEEP, before, axis=0)
+    values, digits = _digit_values(words)
+    shape = digits.view(np.uint32)[:, 0] == 0x01010101  # in all four words
+    shape &= (size == 1) | (point & (size >= 3) & (size <= 32))
+    if sci.size:
+        shape[sci] &= exponent_digits & ((sign == ord("-")) | (sign == ord("+")))
+        places[sci] += np.where(sign == ord("-"), exponent, -exponent)
+    a, b, c, d = values.T
+    taken = shape & (a <= 9)  # D below 10**25
+    # D = high * 10**8 + d with high below 10**17.  With high = u * 2**23 + v,
+    # D is the sum of two exact doubles: u * 2**23 * 10**8 (u below 2**34,
+    # and 10**8 = 5**8 * 2**8 with 5**8 below 2**19) and v * 10**8 + d,
+    # which is below the first unless u is 0.
+    high = taken * (a * 10**16 + b * 10**8 + c)
+    u = (high >> 23).astype(np.float64) * (2.0**23 * 1e8)
+    dh, dl = _fast_two_sum(u, ((high & (2**23 - 1)) * 10**8 + taken * d).astype(np.float64))
+    fits = (places >= 0) & (places <= _PARSE_MAX_PLACES)
+    value, exact = _scale(dh, dl, fits * places, table)
+    return _signed(value, negative), shape, taken & (fits | (dh == 0)) & exact
 
 
-def _fast_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray):
-    """Write the JSON numbers buf[starts:ends] to out: (shape, where proven), with shape as _json_digits has it."""
-    negative, integer, places, shape, ok = _json_digits(buf, starts, ends)
-    dh = integer.astype(np.float64)
-    value, exact = _scale(dh, (integer - dh.astype(np.int64)).astype(np.float64), places, _INV_POW10)
-    out[:] = _signed(value, negative)
-    return shape, ok & exact
+def _read_numbers(text: str, buf, starts, ends, table, reference, out: np.ndarray, where=None, errors=()):
+    """Write the numbers buf[starts:ends] of text's _padded_bytes buf to out, where `where` holds (all if None).
+
+    _read_decimals reads them with the scale table, in passes over at most
+    _CHUNK spans; reference reads each token it does not prove from its text.
+    Returns (shape, failed): where a token is in _read_decimals's grammar,
+    and where reference raised one of errors; another error propagates.
+    """
+    shape = np.ones(starts.size, bool)
+    failed = np.zeros(starts.size, bool)
+    for at in range(0, starts.size, _CHUNK):
+        stop = min(at + _CHUNK, starts.size)
+        read = np.arange(at, stop) if where is None else np.flatnonzero(where[at:stop]) + at
+        if not read.size:  # a pass of lone digits, as in a sparse matrix
+            continue
+        s, e = starts[read].astype(np.intp), ends[read].astype(np.intp)
+        out[read], shape[read], proven = _read_decimals(buf, s, e, table)
+        rest = np.flatnonzero(~proven)
+        for i, first, last in zip(read[rest].tolist(), (s[rest] - _MARGIN).tolist(), (e[rest] - _MARGIN).tolist()):
+            try:
+                out[i] = reference(text[first:last])
+            except errors:
+                failed[i] = True
+    return shape, failed
 
 
 class _Lines:

@@ -18,21 +18,21 @@ notation, and reads a token back as the double nearest to
 ``Decimal(token) * _PI``.  Both directions convert a whole circuit in numpy,
 in chunks of ``_CHUNK`` values, with double-double arithmetic (Dekker,
 Numer. Math. 18, 1971); the reader finds the tokens in the text's bytes and
-reads each through a few words gathered where its length puts its digits.
-The per-value ``Decimal`` code, ``_to_turns_exact`` and ``_from_turns``,
-stays the reference, and converts what the passes leave: an angle whose
-rounding lies within the pass's error bound of a tie, or above pi or below
-``_EMIT_MIN``; a token whose value lies within the pass's error bound of a
-midpoint between two doubles, or that is not in the emitter's notation
-(``_text_digits``); every token of a text holding a non-ASCII character
-or shorter than ``_VECTOR_MIN`` rows of ``_ROW`` bytes; and the angle
-tokens of a batch of records with fewer than ``_VECTOR_MIN`` of them.  So
-the bytes and angles are always the ``Decimal`` code's.  Exact zero is
-written ``0E+50``, which is what ``Decimal`` makes of ``0 / _PI``.
+hands them to ``_bytescan._read_numbers``, whose kernel reads the one number
+grammar of every reader with the scale table ``_PI_POW10``.  The per-value
+``Decimal`` code, ``_to_turns_exact`` and ``_from_turns``, stays the
+reference, and converts what the passes leave: an angle whose rounding lies
+within the pass's error bound of a tie, or above pi or below
+``_EMIT_MIN``; a token the kernel does not prove; every token of a text
+holding a non-ASCII character or shorter than ``_VECTOR_MIN`` rows of
+``_ROW`` bytes; and the angle tokens of a batch of records with fewer than
+``_VECTOR_MIN`` of them.  So the bytes and angles are always the
+``Decimal`` code's.  Exact zero is written ``0E+50``, which is what
+``Decimal`` makes of ``0 / _PI``.
 
-JSON angles are written as ``repr`` writes them and read in numpy passes as
-well; ``repr``, ``json.loads`` and ``float()`` stay the reference (see the
-JSON section).
+JSON angles are written as ``repr`` writes them and read through the same
+driver and kernel with ``_INV_POW10``; ``repr``, ``json.loads`` and
+``float()`` stay the reference (see the JSON section).
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._bytescan import (
-    _ASCII_ZEROS,
     _CHUNK,
+    _INV_POW10,
     _MARGIN,
     _PARSE_MAX_PLACES,
     _ROW,
@@ -55,22 +55,15 @@ from ._bytescan import (
     _VECTOR_MIN,
     _dd,
     _dd_table,
-    _digit_check,
-    _eight_digits,
-    _fast_floats,
     _fast_two_sum,
-    _last_digits,
     _Lines,
     _padded_bytes,
-    _scale,
-    _signed,
+    _read_numbers,
     _split,
     _text_table,
     _TextBytes,
     _token_edges,
     _two_prod,
-    _words,
-    _zero_filled,
 )
 from .errors import (
     BadPayloadLengthError,
@@ -276,79 +269,9 @@ def _exact_lines(payloads: list[np.ndarray]) -> list[str]:
     return _chunked(payloads, _token_rows, _ROW - 1, lambda p: "  " + "  ".join(map(_to_turns_exact, p)))
 
 
-# --- reading exact-mode tokens in numpy -----------------------------------------
-#
-# _bytescan finds the tokens; these passes read the exact notation's digits.
-
-_ZERO_WORD = int.from_bytes(_ZERO_TOKEN.tobytes(), "little")
-# by a fixed token's size: the bytes of its zeros between "0." and the 25
-# digits, in the first word of the 32 bytes that end it
-_FIXED_ZEROS = np.array(
-    [((1 << 8 * (n - 27)) - 1) << 8 * (34 - n) if 28 <= n <= 32 else 0 for n in range(34)], np.uint64
-)
-
-
 def _ranges(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """firsts[k], firsts[k] + 1, ..., firsts[k] + sizes[k] - 1 for each k in order."""
     return np.arange(sizes.sum()) + np.repeat(firsts - (np.cumsum(sizes) - sizes), sizes)
-
-
-def _exact_sum(top: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """top * 10**12 + lo as a double-double, exactly: int64s with lo below 10**12 and the sum below 10**25."""
-    top = top.astype(np.float64)
-    lo = lo.astype(np.float64)
-    p, e = _two_prod(top, 1e12, *_E12_SPLIT)
-    s = p + lo  # two-sum: s + t = p + lo
-    back = s - p
-    t = (p - (s - back)) + (lo - back)
-    return _fast_two_sum(s, t + e)  # t and e are integers below 2**31
-
-
-def _text_digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """(negative, top, lo, places, ok) of the tokens buf[starts:ends]; ok where in the emitter's notation.
-
-    Takes "0." and 1 to 30 decimals of which at most 25 significant,
-    "d.<24 digits>E-<1 to 3 digits>" and "0E+50", each with an optional "-".
-    The 25 digits are the last 25 of the 32 bytes that end a fixed token,
-    those before its decimals as "0", or an E token's first digit and the 24
-    after its point; the turns are (top * 10**12 + lo) * 10**-places.
-    """
-    negative = buf[starts] == ord("-")
-    s = starts + negative
-    size = ends - s
-    first = buf[s]
-    point = buf[s + 1] == ord(".")
-    places = size - 2
-    tail = _words(buf, ends - 32, 32)
-    digits = _last_digits(tail[1:], places)
-    lead = (places >= 25) * ((tail[0] >> np.uint64(56)).astype(np.int64) - ord("0"))
-    zeros = _FIXED_ZEROS[np.clip(size, 0, 33)]
-    ok = (first == ord("0")) & point & (places >= 1) & (places <= 30) & ((tail[0] & zeros) == (_ASCII_ZEROS & zeros))
-    sci = np.flatnonzero((first - ord("1") < 9) & point & (size >= 29) & (size <= 31))
-    if sci.size:  # "E-" and 1 to 3 exponent digits follow d1, "." and d2..d25
-        words = _words(buf, s[sci] - 6, 40)
-        count = (size[sci] - 28).astype(np.uint64)
-        exponent = (words[4] >> np.uint64(16)) << (np.uint64(64) - np.uint64(8) * count)
-        exponent = _zero_filled(exponent, np.uint64(8) - count)
-        digits[:, sci] = words[1:4]
-        lead[sci] = first[sci] - ord("0")
-        places[sci] = 24 + _eight_digits(exponent)
-        ok[sci] = ((words[4] & np.uint64(0xFFFF)) == ord("E") | ord("-") << 8) & _digit_check(exponent)
-    ok &= (lead >= 0) & (lead <= 9) & _digit_check(digits).all(axis=0) & (places <= _PARSE_MAX_PLACES)
-    a, b, c = _eight_digits(digits)
-    b_top = b // 10**4
-    top = ok * (lead * 10**12 + a * 10**4 + b_top)
-    lo = ok * ((b - b_top * 10**4) * 10**8 + c)
-    zero = (size == _ZERO_TOKEN.size) & ((tail[3] >> np.uint64(24)) == _ZERO_WORD)
-    return negative, top, lo, ok * places, ok | zero
-
-
-def _fast_turns(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the angles of exact-mode tokens buf[starts:ends] to out; returns where they are proven."""
-    negative, top, lo, places, ok = _text_digits(buf, starts, ends)
-    value, exact = _scale(*_exact_sum(top, lo), places, _PI_POW10)
-    out[:] = _signed(value, negative)
-    return ok & exact
 
 
 # --- text records ----------------------------------------------------------------
@@ -504,29 +427,20 @@ def _parse_turns(table: _Lines | _TextBytes, records: list[_Record]) -> tuple[np
     """Angles of the records' exact- or display-mode tokens, and which tokens are not numbers.
 
     When the table holds the text's bytes and the records hold at least
-    _VECTOR_MIN tokens, they go through numpy passes of at most _CHUNK;
-    _from_turns reads the others.
+    _VECTOR_MIN tokens, _read_numbers reads them; else _from_turns reads
+    each.
     """
-    size = sum(r.count for r in records)
-    values = np.empty(size)
-    bad = np.zeros(size, bool)
-    if table.buf is not None and size >= _VECTOR_MIN:
+    if table.buf is not None and sum(r.count for r in records) >= _VECTOR_MIN:
         counts = np.array([r.count for r in records])
         index = _ranges(np.array([table.first_tokens[r.first] for r in records]), counts)
-        starts, ends = table.token_starts[index].astype(np.intp), table.token_ends[index].astype(np.intp)
-        converted = np.concatenate(
-            [
-                _fast_turns(table.buf, starts[at : at + _CHUNK], ends[at : at + _CHUNK], values[at : at + _CHUNK])
-                for at in range(0, size, _CHUNK)
-            ]
-        )
-        rest = np.flatnonzero(~converted)
-        text = table.text
-        tokens = [text[s - _MARGIN : e - _MARGIN] for s, e in zip(starts[rest].tolist(), ends[rest].tolist())]
-    else:
-        rest = range(size)
-        tokens = [tok for r in records for tok in table.tokens(r.first, r.line)]
-    for i, token in zip(rest, tokens):
+        spans = table.token_starts[index], table.token_ends[index]
+        values = np.empty(index.size)
+        _, bad = _read_numbers(table.text, table.buf, *spans, _PI_POW10, _from_turns, values, errors=ArithmeticError)
+        return values, bad
+    tokens = [tok for r in records for tok in table.tokens(r.first, r.line)]
+    values = np.empty(len(tokens))
+    bad = np.zeros(len(tokens), bool)
+    for i, token in enumerate(tokens):
         try:
             values[i] = _from_turns(token)
         except ArithmeticError:
@@ -727,15 +641,14 @@ def emit_json(circuit: Circuit) -> str:
 
 # parse_json reads the angle lists of a document in numpy.  Each
 # "angles": [...] list becomes the placeholder NaN, and json.loads parses
-# what is left, with each placeholder a _Slot.  The lists' tokens go through
-# _fast_floats in passes of at most _CHUNK, and the values that pass leaves
-# (near a midpoint, out of its range or over 17 digits) through float().
-# Any other document goes through json.loads whole, which also raises every
-# error: one that is not ASCII or is shorter than _CHUNK // 4 rows of
-# _JSON_ROW bytes, a list token not in _json_digits's shape, a list not
-# comma-separated as json.dumps separates it, a list holding "[", a NaN or
-# Infinity of the document's own, and placeholders that do not come back
-# one per rotation gate, in order.
+# what is left, with each placeholder a _Slot.  _read_numbers reads the
+# lists' tokens, and float() those its kernel does not prove.  Any other
+# document goes through json.loads whole, which also raises every error: one
+# that is not ASCII or is shorter than _CHUNK // 4 rows of _JSON_ROW bytes,
+# a list token outside the kernel's grammar or a digit alone (json.loads
+# reads it as an int), a list not comma-separated as json.dumps separates
+# it, a list holding "[", a NaN or Infinity of the document's own, and
+# placeholders that do not come back one per rotation gate, in order.
 
 _ANGLE_LIST = re.compile(r'"angles"[ \t\n\r]*:[ \t\n\r]*\[')
 
@@ -791,21 +704,22 @@ def _angle_lists(text: str) -> tuple[dict, list[np.ndarray]]:
     firsts = np.searchsorted(token_starts, bounds[:, 0])
     sizes = np.searchsorted(token_starts, bounds[:, 1]) - firsts
     index = _ranges(firsts, sizes)
+    starts, ends = token_starts[index], token_ends[index]
     # a comma right after each token but the last of its list, and no other in the lists
     inner = np.ones(index.size, bool)
     inner[np.cumsum(sizes)[sizes > 0] - 1] = False
     commas = sum(np.count_nonzero(buf[at : at + _SEGMENT] == ord(",")) for at in range(0, buf.size, _SEGMENT))
-    if commas - skeleton.count(",") != np.count_nonzero(inner):
+    if commas - skeleton.count(",") != np.count_nonzero(inner) or np.any(buf[ends[inner]] != ord(",")):
+        raise _Fallback
+    if np.any(ends - starts <= 2):  # a lone digit, which json.loads reads as an int, and "-0" as 0
         raise _Fallback
     values = np.empty(index.size)
-    for at in range(0, index.size, _CHUNK):
-        chunk = slice(at, at + _CHUNK)
-        starts, ends = token_starts[index[chunk]].astype(np.intp), token_ends[index[chunk]].astype(np.intp)
-        shape, converted = _fast_floats(buf, starts, ends, values[chunk])
-        if not (shape.all() and np.all(buf[ends[inner[chunk]]] == ord(","))):
-            raise _Fallback
-        for i in np.flatnonzero(~converted).tolist():
-            values[at + i] = float(text[starts[i] - _MARGIN : ends[i] - _MARGIN])
+    try:
+        shape, _ = _read_numbers(text, buf, starts, ends, _INV_POW10, float, values)
+    except ValueError:  # from a token out of the grammar
+        raise _Fallback from None
+    if not shape.all():
+        raise _Fallback
     return obj, np.split(values, np.cumsum(sizes)[:-1])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bytescan import _CHUNK, _MARGIN, _fast_floats, _signed, _text_table, _TextBytes
+from ._bytescan import _INV_POW10, _offsets, _read_numbers, _text_table, _TextBytes
 from .errors import JsonFormatError, NotSquareError, NotUnitaryError
 
 
@@ -114,7 +114,7 @@ def pad_to_power_of_two(u: UnitaryOperator) -> tuple[UnitaryOperator, int]:
 # Text: line 1 holds the dimension d, then d rows of d whitespace-separated
 # entries, each written as `re` or `re,im` (scientific notation accepted).
 # JSON: {"dim": d, "real": bool, "entries": [[re, im], ...]} in row-major
-# order.
+# order; with "real": true every im is 0.
 
 
 def format_matrix_text(m) -> str:
@@ -169,15 +169,15 @@ def _parse_matrix_per_value(text: str) -> np.ndarray:
 
 
 def _matrix_values(table: _TextBytes) -> np.ndarray | None:
-    """The matrix of a text's byte table, its values read in passes of at most _CHUNK; None if it is not taken.
+    """The matrix of a text's byte table, its values read by _read_numbers; None if it is not taken.
 
     Taken: a first line that holds d alone, as str(d) writes it, then d rows
     of d entries, and in a complex text (one with a comma) no entry with a
     comma at an end.  A digit alone, as %.17g writes 0 and 1, is read here:
-    most tokens of a sparse matrix are, and _fast_floats costs them more
-    than float() does.  _fast_floats reads the other tokens, float() those
-    whose rounding it does not prove; a token float() refuses sends the
-    text to the per-value code.
+    most tokens of a sparse matrix are, and the kernel costs them more than
+    float() does.  _read_numbers reads the other tokens, and float() those
+    whose rounding its kernel does not prove; a token float() refuses sends
+    the text to the per-value code.
     """
     counts = np.array(table.counts)
     rows = counts[counts > 0]
@@ -185,40 +185,41 @@ def _matrix_values(table: _TextBytes) -> np.ndarray | None:
     if d < 1 or rows[0] != 1 or np.any(rows[1:] != d) or table.head(int(np.flatnonzero(counts)[0])) != str(d):
         return None
     text, buf = table.text, table.buf
+    spans = table.token_starts[1:], table.token_ends[1:]  # token 0 is d
     is_complex = "," in text
-    values = np.empty((1 + is_complex) * d * d)
-    step = _CHUNK >> is_complex  # entries per pass
-    for at in range(0, d * d, step):
-        starts = table.token_starts[1 + at : 1 + at + step].astype(np.intp)  # token 0 is d
-        ends = table.token_ends[1 + at : 1 + at + step].astype(np.intp)
-        if is_complex:
-            commas = np.flatnonzero(buf[starts[0] : ends[-1]] == ord(",")) + starts[0]
-            entry = np.searchsorted(starts, commas, "right") - 1
-            if np.any(commas == starts[entry]) or np.any(commas == ends[entry] - 1):
-                return None
-            cut = ends.copy()
-            cut[entry] = commas
-            # re before the comma and im after it; an entry without one has an empty im, read as 0,
-            # and one with two keeps a comma in re or im, which float() refuses
-            starts = np.column_stack([starts, cut + (cut < ends)]).ravel()
-            ends = np.column_stack([cut, ends]).ravel()
-        out = values[(1 + is_complex) * at :][: starts.size]
-        size = ends - starts
-        negative = buf[starts] == ord("-")
-        digit = (buf[ends - 1] - np.uint8(ord("0"))) * (size > 0)  # wraps below "0"
-        simple = (size == 0) | ((size == 1 + negative) & (digit <= 9))
-        out[:] = _signed(digit.astype(np.float64), negative)
-        rest = np.flatnonzero(~simple)
-        read = np.empty(rest.size)
-        proven = _fast_floats(buf, starts[rest], ends[rest], read)[1]
-        out[rest] = read
-        rest = rest[~proven]
-        spans = zip((starts[rest] - _MARGIN).tolist(), (ends[rest] - _MARGIN).tolist())
-        try:
-            out[rest] = [float(text[s:e]) for s, e in spans]
-        except ValueError:
-            return None
+    if is_complex and (spans := _complex_spans(buf, *spans)) is None:
+        return None
+    values, read = _lone_digits(buf, *spans)
+    try:
+        _read_numbers(text, buf, *spans, _INV_POW10, float, values, read)
+    except ValueError:
+        return None
     return (values.view(np.complex128) if is_complex else values).reshape(d, d)
+
+
+def _complex_spans(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The spans of the re and im of each entry buf[starts:ends], in turn; None if a comma ends an entry."""
+    commas = _offsets(buf, ord(","), starts[0], ends[-1])
+    entry = np.searchsorted(starts, commas, "right") - 1
+    if np.any(commas == starts[entry]) or np.any(commas == ends[entry] - 1):
+        return None
+    cut = ends.copy()
+    cut[entry] = commas
+    # re before the comma and im after it; an entry without one has an empty im, read as 0,
+    # and one with two keeps a comma in re or im, which float() refuses
+    return np.column_stack([starts, cut + (cut < ends)]).ravel(), np.column_stack([cut, ends]).ravel()
+
+
+def _lone_digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the tokens buf[starts:ends] that are a digit alone or empty, and where a token is neither."""
+    size = ends - starts
+    negative = buf[starts] == ord("-")
+    digit = (buf[ends - 1] - np.uint8(ord("0"))) * (size > 0)  # wraps below "0"
+    read = (size != 0) & ~(((size == 1) | negative & (size == 2)) & (digit <= 9))
+    del size  # before the values
+    values = digit.astype(np.float64)
+    np.negative(values, out=values, where=negative)
+    return values, read
 
 
 def _index(value) -> int:
@@ -256,12 +257,15 @@ def parse_matrix_json(text: str) -> np.ndarray:
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, found {len(entries)}")
         _numbers(list(itertools.chain.from_iterable(entries)))
-        flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-        a = flat.reshape(d, d)
+        a = np.array([complex(re, im) for re, im in entries], dtype=np.complex128).reshape(d, d)
+        if real:
+            imaginary = np.flatnonzero(a.imag)
+            if imaginary.size:
+                k = imaginary[0]
+                raise ValueError(f"entry {k} has imaginary part {entries[k][1]!r}, but real is true")
+            a = np.ascontiguousarray(a.real)
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise JsonFormatError(f"malformed matrix JSON: {exc!r}") from exc
-    if real:
-        return np.ascontiguousarray(a.real)
     return a
 
 

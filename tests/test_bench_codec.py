@@ -32,3 +32,10 @@ def test_bench_codec_reads_text_matrices_at_six_qubits():
     ]
     for _, _, _, _, best, size, peak in rows:
         assert best >= 0.0 and size > 0 and peak > 0
+
+
+def test_bench_codec_times_the_number_kernel_per_family():
+    rows = _load().bench_kernel(tokens=256, repeats=1, seed=0)
+    assert [(family, tokens) for family, tokens, _, _ in rows] == [("exact", 256), ("repr", 256), ("%.17g", 256)]
+    for _, _, best, proven in rows:
+        assert best >= 0.0 and proven > 0.95  # the kernel proves all but the rare near-ties

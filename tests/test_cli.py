@@ -261,6 +261,9 @@ BAD_MATRICES = {
     "entry-null": {"dim": 1, "real": False, "entries": [[None, 0]]},
     "entry-bools": {"dim": 1, "real": False, "entries": [[True, False]]},
     "entry-imag-bool": {"dim": 1, "real": True, "entries": [[1, False]]},
+    # "real": true with an imaginary part: one that would round away, and one of a unitary's
+    "real-entry-imag-small": {"dim": 2, "real": True, "entries": [[1, 1e-7], [0, 0], [0, 0], [1, 0]]},
+    "real-entry-imag-one": {"dim": 2, "real": True, "entries": [[0, 1], [0, 0], [0, 0], [1, 0]]},
     "entry-string": {"dim": 1, "real": False, "entries": [["1", 0]]},
     "entry-huge-int": {"dim": 1, "real": False, "entries": [[10**400, 0]]},
     "dim-infinity": {"dim": float("inf"), "real": False, "entries": [[1, 0]]},

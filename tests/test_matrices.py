@@ -231,7 +231,7 @@ def matrix_outcome(read, text):
 
 def small_passes(patch):
     """Passes of 64 values over 64-byte segments, so that tokens and commas cross their edges."""
-    patch.setattr(matrices, "_CHUNK", 64)
+    patch.setattr(_bytescan, "_CHUNK", 64)
     patch.setattr(_bytescan, "_SEGMENT", 64)
 
 
@@ -241,17 +241,17 @@ def taken_by_numpy(text: str) -> bool:
 
 
 def fast_float_counts(monkeypatch, text: str) -> tuple[int, int]:
-    """How many tokens parse_matrix_text gives _fast_floats, and how many of them it proves."""
+    """How many tokens parse_matrix_text gives the number kernel, and how many of them it proves."""
     given, proven = [], []
-    fast_floats = matrices._fast_floats
+    read_decimals = _bytescan._read_decimals
 
-    def counted(buf, starts, ends, out):
-        shape, converted = fast_floats(buf, starts, ends, out)
+    def counted(buf, starts, ends, table):
+        read = read_decimals(buf, starts, ends, table)
         given.append(starts.size)
-        proven.append(int(converted.sum()))
-        return shape, converted
+        proven.append(int(read[2].sum()))
+        return read
 
-    monkeypatch.setattr(matrices, "_fast_floats", counted)
+    monkeypatch.setattr(_bytescan, "_read_decimals", counted)
     matrix_outcome(parse_matrix_text, text)
     return sum(given), sum(proven)
 
@@ -271,7 +271,7 @@ def test_real_format_matrix_text_file_reads_without_float(monkeypatch):
 
 
 def test_sparse_file_reads_its_digits_without_the_pass(monkeypatch):
-    # 0 and 1 entries, as in walk operators and padded identities, never reach _fast_floats or float()
+    # 0 and 1 entries, as in walk operators and padded identities, never reach the number kernel or float()
     text = format_matrix_text(np.eye(64) * 1j)
     assert taken_by_numpy(text)
     assert fast_float_counts(monkeypatch, text) == (0, 0)
