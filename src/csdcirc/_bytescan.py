@@ -78,9 +78,9 @@ with localcontext(Context(prec=80)):
 # --- reading numbers in numpy ------------------------------------------------------
 #
 # The readers find their tokens in a document's bytes, padded with _MARGIN
-# spaces on each side, by whole-buffer passes, and hand their spans to
-# _read_numbers.  It reads them in passes of at most _CHUNK through one
-# kernel, _read_decimals, which takes one grammar:
+# spaces on each side, by whole-buffer passes, and give _read_numbers the
+# spans of each of its passes of at most _CHUNK values.  It reads them
+# through one kernel, _read_decimals, which takes one grammar:
 #
 #     [-]d[.D{1,30}][(e|E)(+|-)d{1,3}]
 #
@@ -235,14 +235,17 @@ def _read_decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, table)
     if sci.size:
         tail = last[sci]
         marks = (tail[:, None] >> _MARK_SHIFTS) & np.uint64(0xFFDF)  # "e" folded to "E", and the byte after it
-        marked = (marks == ord("E") | ord("+") << 8) | (marks == ord("E") | ord("-") << 8)
+        minus = marks == ord("E") | ord("-") << 8
+        marked = minus | (marks == ord("E") | ord("+") << 8)
         found = marked.any(axis=1)
-        sci, tail, count = sci[found], tail[found], marked[found].argmax(axis=1) + 1
-        sign = (tail >> (np.uint64(56) - np.uint64(8) * count.astype(np.uint64))) & np.uint64(0xFF)
+        sci, tail, column = sci[found], tail[found], marked[found].argmax(axis=1)
+        minus, count = minus[found, column], column + 1
         exponent, exponent_digits = _digit_values((tail ^ _ASCII_ZEROS) & _KEEP[32 - count, 3])  # its count bytes
         size[sci] -= 2 + count
         window[sci] = _windows(buf, ends[sci] - 34 - count)
-    # the lead digit takes the point's place, and the bytes before it count as "0"
+    # the lead digit takes the point's place, and the bytes before it count as "0";
+    # a mantissa shorter than 2 bytes has no point (after "-" alone, buf[s + 1] lies past the token)
+    point &= size >= 2
     places = point * (size - 2)  # the decimals, until the exponent is known
     before = np.maximum(31 - places, 0)
     window.reshape(-1)[np.arange(0, window.size, 32) + before] = buf[s]
@@ -253,8 +256,8 @@ def _read_decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, table)
     shape = digits.view(np.uint32)[:, 0] == 0x01010101  # in all four words
     shape &= (size == 1) | (point & (size >= 3) & (size <= 32))
     if sci.size:
-        shape[sci] &= exponent_digits & ((sign == ord("-")) | (sign == ord("+")))
-        places[sci] += np.where(sign == ord("-"), exponent, -exponent)
+        shape[sci] &= exponent_digits
+        places[sci] += np.where(minus, exponent, -exponent)
     a, b, c, d = values.T
     taken = shape & (a <= 9)  # D below 10**25
     # D = high * 10**8 + d with high below 10**17.  With high = u * 2**23 + v,
@@ -269,30 +272,39 @@ def _read_decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, table)
     return _signed(value, negative), shape, taken & (fits | (dh == 0)) & exact
 
 
-def _read_numbers(text: str, buf, starts, ends, table, reference, out: np.ndarray, where=None, errors=()):
-    """Write the numbers buf[starts:ends] of text's _padded_bytes buf to out, where `where` holds (all if None).
+def _read_numbers(text: str, buf, count: int, spans, table, reference, out: np.ndarray, errors=()):
+    """Write count numbers of text, whose _padded_bytes is buf, to out, in passes of at most _CHUNK.
 
-    _read_decimals reads them with the scale table, in passes over at most
-    _CHUNK spans; reference reads each token it does not prove from its text.
-    Returns (shape, failed): where a token is in _read_decimals's grammar,
-    and where reference raised one of errors; another error propagates.
+    spans(at, stop) gives the starts and ends in buf of the tokens of
+    out[at:stop], and where _read_decimals is to read them (None: all); it
+    writes the others itself.  _read_decimals reads them with the scale
+    table, and reference each token it does not prove from its text.
+    Returns (in_shape, failed): whether every token read is in
+    _read_decimals's grammar, and the indices in out of those for which
+    reference raised one of errors; another error propagates.
     """
-    shape = np.ones(starts.size, bool)
-    failed = np.zeros(starts.size, bool)
-    for at in range(0, starts.size, _CHUNK):
-        stop = min(at + _CHUNK, starts.size)
-        read = np.arange(at, stop) if where is None else np.flatnonzero(where[at:stop]) + at
+    in_shape, failed = True, []
+    for at in range(0, count, _CHUNK):
+        starts, ends, where = spans(at, min(at + _CHUNK, count))
+        read = np.arange(starts.size) if where is None else np.flatnonzero(where)
         if not read.size:  # a pass of lone digits, as in a sparse matrix
             continue
         s, e = starts[read].astype(np.intp), ends[read].astype(np.intp)
-        out[read], shape[read], proven = _read_decimals(buf, s, e, table)
+        read += at
+        out[read], shape, proven = _read_decimals(buf, s, e, table)
+        in_shape = in_shape and bool(shape.all())
         rest = np.flatnonzero(~proven)
         for i, first, last in zip(read[rest].tolist(), (s[rest] - _MARGIN).tolist(), (e[rest] - _MARGIN).tolist()):
             try:
                 out[i] = reference(text[first:last])
             except errors:
-                failed[i] = True
-    return shape, failed
+                failed.append(i)
+    return in_shape, failed
+
+
+def _all_spans(starts: np.ndarray, ends: np.ndarray):
+    """spans for _read_numbers that reads every token buf[starts:ends]."""
+    return lambda at, stop: (starts[at:stop], ends[at:stop], None)
 
 
 class _Lines:

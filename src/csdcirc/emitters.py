@@ -51,12 +51,13 @@ from ._bytescan import (
     _MARGIN,
     _PARSE_MAX_PLACES,
     _ROW,
-    _SEGMENT,
     _VECTOR_MIN,
+    _all_spans,
     _dd,
     _dd_table,
     _fast_two_sum,
     _Lines,
+    _offsets,
     _padded_bytes,
     _read_numbers,
     _split,
@@ -433,9 +434,12 @@ def _parse_turns(table: _Lines | _TextBytes, records: list[_Record]) -> tuple[np
     if table.buf is not None and sum(r.count for r in records) >= _VECTOR_MIN:
         counts = np.array([r.count for r in records])
         index = _ranges(np.array([table.first_tokens[r.first] for r in records]), counts)
-        spans = table.token_starts[index], table.token_ends[index]
+        spans = _all_spans(table.token_starts[index], table.token_ends[index])
         values = np.empty(index.size)
-        _, bad = _read_numbers(table.text, table.buf, *spans, _PI_POW10, _from_turns, values, errors=ArithmeticError)
+        text, buf = table.text, table.buf
+        _, failed = _read_numbers(text, buf, index.size, spans, _PI_POW10, _from_turns, values, ArithmeticError)
+        bad = np.zeros(index.size, bool)
+        bad[failed] = True
         return values, bad
     tokens = [tok for r in records for tok in table.tokens(r.first, r.line)]
     values = np.empty(len(tokens))
@@ -708,17 +712,17 @@ def _angle_lists(text: str) -> tuple[dict, list[np.ndarray]]:
     # a comma right after each token but the last of its list, and no other in the lists
     inner = np.ones(index.size, bool)
     inner[np.cumsum(sizes)[sizes > 0] - 1] = False
-    commas = sum(np.count_nonzero(buf[at : at + _SEGMENT] == ord(",")) for at in range(0, buf.size, _SEGMENT))
+    commas = _offsets(buf, ord(","), 0, buf.size).size
     if commas - skeleton.count(",") != np.count_nonzero(inner) or np.any(buf[ends[inner]] != ord(",")):
         raise _Fallback
     if np.any(ends - starts <= 2):  # a lone digit, which json.loads reads as an int, and "-0" as 0
         raise _Fallback
     values = np.empty(index.size)
     try:
-        shape, _ = _read_numbers(text, buf, starts, ends, _INV_POW10, float, values)
+        in_shape, _ = _read_numbers(text, buf, index.size, _all_spans(starts, ends), _INV_POW10, float, values)
     except ValueError:  # from a token out of the grammar
         raise _Fallback from None
-    if not shape.all():
+    if not in_shape:
         raise _Fallback
     return obj, np.split(values, np.cumsum(sizes)[:-1])
 

@@ -173,7 +173,8 @@ def _matrix_values(table: _TextBytes) -> np.ndarray | None:
 
     Taken: a first line that holds d alone, as str(d) writes it, then d rows
     of d entries, and in a complex text (one with a comma) no entry with a
-    comma at an end.  A digit alone, as %.17g writes 0 and 1, is read here:
+    comma at an end.  Each pass of _read_numbers splits its entries at
+    their commas and reads a digit alone, as %.17g writes 0 and 1, here:
     most tokens of a sparse matrix are, and the kernel costs them more than
     float() does.  _read_numbers reads the other tokens, and float() those
     whose rounding its kernel does not prove; a token float() refuses sends
@@ -185,24 +186,30 @@ def _matrix_values(table: _TextBytes) -> np.ndarray | None:
     if d < 1 or rows[0] != 1 or np.any(rows[1:] != d) or table.head(int(np.flatnonzero(counts)[0])) != str(d):
         return None
     text, buf = table.text, table.buf
-    spans = table.token_starts[1:], table.token_ends[1:]  # token 0 is d
+    starts, ends = table.token_starts[1:], table.token_ends[1:]  # token 0 is d
     is_complex = "," in text
-    if is_complex and (spans := _complex_spans(buf, *spans)) is None:
-        return None
-    values, read = _lone_digits(buf, *spans)
+    values = np.empty((1 + is_complex) * d * d)
+
+    def spans(at: int, stop: int):
+        # the entries of values[at:stop]: passes start at an even value, a re
+        s, e = starts[at >> is_complex : stop >> is_complex], ends[at >> is_complex : stop >> is_complex]
+        if is_complex:
+            s, e = _complex_spans(buf, s, e)
+        return s, e, _lone_digits(buf, s, e, values[at:stop])
+
     try:
-        _read_numbers(text, buf, *spans, _INV_POW10, float, values, read)
-    except ValueError:
+        _read_numbers(text, buf, values.size, spans, _INV_POW10, float, values)
+    except ValueError:  # a comma at an entry's end, or a token float() refuses
         return None
     return (values.view(np.complex128) if is_complex else values).reshape(d, d)
 
 
 def _complex_spans(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """The spans of the re and im of each entry buf[starts:ends], in turn; None if a comma ends an entry."""
+    """The spans of the re and im of each entry buf[starts:ends], in turn; ValueError if a comma ends an entry."""
     commas = _offsets(buf, ord(","), starts[0], ends[-1])
     entry = np.searchsorted(starts, commas, "right") - 1
     if np.any(commas == starts[entry]) or np.any(commas == ends[entry] - 1):
-        return None
+        raise ValueError("a comma at an entry's end")
     cut = ends.copy()
     cut[entry] = commas
     # re before the comma and im after it; an entry without one has an empty im, read as 0,
@@ -210,16 +217,14 @@ def _complex_spans(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return np.column_stack([starts, cut + (cut < ends)]).ravel(), np.column_stack([cut, ends]).ravel()
 
 
-def _lone_digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values of the tokens buf[starts:ends] that are a digit alone or empty, and where a token is neither."""
+def _lone_digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write to out the values of the tokens buf[starts:ends] that are a digit alone or empty; return where not."""
     size = ends - starts
     negative = buf[starts] == ord("-")
     digit = (buf[ends - 1] - np.uint8(ord("0"))) * (size > 0)  # wraps below "0"
-    read = (size != 0) & ~(((size == 1) | negative & (size == 2)) & (digit <= 9))
-    del size  # before the values
-    values = digit.astype(np.float64)
-    np.negative(values, out=values, where=negative)
-    return values, read
+    out[:] = digit
+    np.negative(out, out=out, where=negative)
+    return (size != 0) & ~(((size == 1) | negative & (size == 2)) & (digit <= 9))
 
 
 def _index(value) -> int:

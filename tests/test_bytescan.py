@@ -12,10 +12,10 @@ from csdcirc import _bytescan, emitters
 GRAMMAR = re.compile(r"-?\d(\.\d{1,30})?([eE][+-]\d{1,3})?")
 
 
-def read(tokens: list[str], table):
-    """_read_decimals on tokens, two spaces apart, so that each window also holds the tokens before it."""
-    buf = _bytescan._padded_bytes("  ".join(tokens))
-    starts, ends, _ = _bytescan._token_edges(buf, b" ")
+def read(tokens: list[str], table, separator: str = "  "):
+    """_read_decimals on tokens, separator apart, so that each window also holds the tokens before it."""
+    buf = _bytescan._padded_bytes(separator.join(tokens))
+    starts, ends, _ = _bytescan._token_edges(buf, b" \t")
     assert starts.size == len(tokens)
     return _bytescan._read_decimals(buf, starts.astype(np.intp), ends.astype(np.intp), table)
 
@@ -47,13 +47,14 @@ def test_reader_proves_grammar_tokens_bit_for_bit():
             exponent = draw(st.sampled_from("eE")) + draw(st.sampled_from(["+", "-", "+", "-", ""]))
             exponent += draw(st.text("0123456789", min_size=1, max_size=4))
         drawn = sign + lead + point + decimals + exponent
-        return draw(st.sampled_from([drawn] * 8 + ["-0", "0E+50", "-0E+50", ".", "0.", "-", "1e+:", "2.5E-/"]))
+        extra = ["-0", "0E+50", "-0E+50", ".", "0.", "-", ".5", "1e+:", "2.5E-/"]
+        return draw(st.sampled_from([drawn] * 8 + extra))
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.lists(token(), min_size=1, max_size=40))
-    def check(tokens):
+    @hypothesis.given(st.lists(token(), min_size=1, max_size=40), st.sampled_from(["  ", " ", "\t"]))
+    def check(tokens, separator):
         for table, reference in ((_bytescan._INV_POW10, float), (emitters._PI_POW10, emitters._from_turns)):
-            values, shape, proven = read(tokens, table)
+            values, shape, proven = read(tokens, table, separator)
             for tok, value, in_shape, is_proven in zip(tokens, values.tolist(), shape, proven):
                 assert in_shape == bool(GRAMMAR.fullmatch(tok)), tok
                 if in_shape:
@@ -76,3 +77,13 @@ def test_reader_takes_the_forms_of_every_writer():
     assert shape.all()
     assert proven.tolist() == [tok not in ("1e-300", "7E+2") for tok in tokens]  # 10**-300 and 10**2: k out of range
     assert values[proven].tolist() == [float(tok) for tok, p in zip(tokens, proven) if p]
+
+
+@pytest.mark.parametrize("separator", [" ", "\t"])
+def test_a_sign_alone_before_a_point_is_out_of_shape(separator):
+    # after "-" alone the mantissa is empty, and the byte after its first is the next token's "."
+    tokens = ["1.5", "-", ".5", "-", ".", "2.5", "-"]
+    for last in (len(tokens), 2):  # "-" last in the pass, and before other tokens
+        values, shape, proven = read(tokens[:last], _bytescan._INV_POW10, separator)
+        assert shape.tolist() == [tok in ("1.5", "2.5") for tok in tokens[:last]]
+        assert values[proven].tolist() == [float(tok) for tok, p in zip(tokens, proven) if p]

@@ -815,10 +815,11 @@ def reference_read(read, text):
 
 
 def set_pass_sizes(patch, **sizes):
-    """Set each size in emitters and in _bytescan, whose functions read their own copy."""
+    """Set each size in _bytescan, and in emitters where it imports a copy: each module's functions read their own."""
     for name, size in sizes.items():
-        for module in (emitters, _bytescan):
-            patch.setattr(module, name, size)
+        patch.setattr(_bytescan, name, size)
+        if hasattr(emitters, name):
+            patch.setattr(emitters, name, size)
 
 
 def outcome(read, text):

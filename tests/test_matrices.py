@@ -300,10 +300,12 @@ BIG = write_matrix(unitary_group.rvs(16, random_state=3))  # 10 kB: read by the 
         (lambda t: t.replace(" ", " x", 1), False),  # not a number
         (lambda t: t.replace(" ", "\xa0", 1), False),  # not ASCII
         (lambda t: t[:5000], False),  # short
+        (lambda t: t.replace(" ".join(t.split()[1:3]), "- .5", 1), False),  # "-" is no number
+        (lambda t: t.replace(" ".join(t.split()[-2:]), "-\t.5", 1), False),
     ],
     ids=["crlf", "tab-us-vt-fs-blank", "plus-E", "underscore-nan-inf", "no-im", "dim-zero-padded", "dim-line",
          "rows", "entries", "two-commas", "leading-comma", "trailing-comma", "bare-points", "word",
-         "non-ascii", "short"],
+         "non-ascii", "short", "sign-alone", "sign-alone-at-end"],
 )
 def test_matrix_text_edits_read_as_the_per_value_code_reads_them(edit, taken):
     text = edit(BIG)
