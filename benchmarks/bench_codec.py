@@ -19,6 +19,10 @@ writes them in JSON, and seeded Gaussian entries as ``format_matrix_text``
 writes a 128 x 128 unitary's (``%.17g``).  Each row also gives the share of
 tokens the kernel proves; the rest go to the readers' per-value code.
 
+Run as a script, it first sets the allocator as ``pipebench/run.py``'s
+``keep_freed_memory`` does, so a row's time does not depend on the heap
+the rows before it left.
+
     python benchmarks/bench_codec.py                     # n = 8, 10 and 12; matrices at 7 and 10
     python benchmarks/bench_codec.py --sizes 12 --fields real --repeats 1 --matrix-sizes ""
 """
@@ -44,10 +48,12 @@ from csdcirc.emitters import _PI_POW10, _to_turns_exact  # noqa: E402
 from csdcirc.matrices import _parse_matrix_per_value, format_matrix_text, parse_matrix_text  # noqa: E402
 
 
-def _bench_eval():
-    """bench_eval.py from this directory, which need not be importable as a package."""
-    path = Path(__file__).resolve().with_name("bench_eval.py")
-    spec = importlib.util.spec_from_file_location("bench_eval", path)
+HERE = Path(__file__).resolve().parent
+
+
+def _load(path: Path):
+    """The module at path, which need not be importable as a package."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -64,7 +70,7 @@ def _best(fn, repeats: int):
 
 def bench(sizes=(8, 10, 12), repeats=5, seed=0, fields=("real", "complex")):
     """Rows of (function, n, field, angles, best seconds, bytes) for each case."""
-    ruler_circuit = _bench_eval().ruler_circuit
+    ruler_circuit = _load(HERE / "bench_eval.py").ruler_circuit
     rows = []
     for n in sizes:
         for field in fields:
@@ -144,6 +150,9 @@ def main():
     parser.add_argument("--fields", default="real,complex", help="real, complex or both")
     parser.add_argument("--matrix-sizes", default="7,10", help="comma-separated qubit counts of the matrix case")
     args = parser.parse_args()
+    # the allocator as pipebench sets it, so that whether a row reuses freed
+    # memory or faults in fresh pages does not depend on the rows before it
+    _load(HERE.parent / "pipebench" / "run.py").keep_freed_memory()
 
     sizes = tuple(int(n) for n in args.sizes.split(",") if n)
     fields = tuple(f for f in args.fields.split(",") if f)

@@ -17,22 +17,28 @@ at a time, and writes the factors into preallocated output stacks.  Routes,
 by block size m:
 
 * m = 2: a closed form.
-* m = 4 and 8, and every block the batched route does not take: LAPACK's
-  CSD (xORCSD for real, xUNCSD for complex blocks; B. D. Sutton, "Computing
-  the complete CS decomposition", Numer. Algorithms 50, 2009), one raw call
-  per block, with the routine and its workspace size looked up once per
-  chunk of the stack.
-* m >= 16: a batched route after Van Loan ("Computing the CS and the
-  generalized singular value decompositions", Numer. Math. 46, 1985).  One
-  stacked SVD of the top-left quadrants gives u, theta and x.  Where sin
-  theta > 1/2, v and y follow from the off-diagonal quadrants divided by
-  sin theta; the rest come from a stacked SVD of the bottom-right residual,
-  phase-matched through the top-right quadrant.  Below SVD_ROUTE_MIN_DIM
-  only well-separated blocks take it: a block with a theta cluster within
-  DEGEN_EPS, or a theta at 0 or pi/2, goes to LAPACK, and a QR
-  factorisation of the top quadrants finds most blocks of the last kind,
-  walk blocks above all, without the SVD.  From SVD_ROUTE_MIN_DIM up every
-  block takes it, where it beats LAPACK.
+* Real m >= 4 and complex m >= 16: a batched route after Van Loan
+  ("Computing the CS and the generalized singular value decompositions",
+  Numer. Math. 46, 1985).  One stacked SVD of the top-left quadrants gives
+  u, theta and x.  Where sin theta > 1/2, v and y follow from the
+  off-diagonal quadrants divided by sin theta; the rest come from a stacked
+  SVD of the bottom-right residual, phase-matched through the top-right
+  quadrant.  For real 4 x 4 blocks both SVDs are of 2 x 2 matrices and take
+  a closed form.  Below SVD_ROUTE_MIN_DIM only well-separated blocks take
+  the route: a block with a theta cluster within DEGEN_EPS, or a theta at 0
+  or pi/2, goes to LAPACK, and a QR factorisation of the top quadrants finds
+  most blocks of the last kind, walk blocks above all, without the SVD.
+  From SVD_ROUTE_MIN_DIM up every block takes it, where it beats LAPACK.
+* Complex m = 4 and 8, and every block the batched route does not take:
+  LAPACK's CSD (xORCSD for real, xUNCSD for complex blocks; B. D. Sutton,
+  "Computing the complete CS decomposition", Numer. Algorithms 50, 2009),
+  one raw call per block, with the routine and its workspace size looked
+  up once per chunk of the stack.  Degenerate blocks keep LAPACK's
+  sparse bases this way, and with them the circuits' gate counts.  Complex
+  blocks of 4 and 8 stay here because the pipeline benchmark counts their
+  calls: its smoke test pins 4 calls at m = 4 and 1 at m = 8 on a complex
+  8 x 8, and haar-n7's csd.cossin.* metrics are these calls.  Moving them
+  to the batched route waits for a change to that benchmark.
 
 Canonicalisation and the reconstruction check each run once over a chunk.
 Chunks bound the temporaries of these batched steps, which would otherwise
@@ -58,7 +64,8 @@ GAUGE_EPS = 1e-13
 # blocks at least this large take the batched route without the separation
 # screens: there it beats LAPACK on every block, degenerate or not
 SVD_ROUTE_MIN_DIM = 512
-# blocks at least this large take the batched route where they are separated
+# complex blocks at least this large take the batched route where they are
+# separated; real blocks take it from m = 4
 BATCHED_MIN_DIM = 16
 # the batched routes take a stack this many entries at a time, so their
 # temporaries stay small next to a whole recursion level's stack
@@ -71,9 +78,9 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     Returns (lefts, theta, rights) where lefts/rights stack the u, v / x, y
     factors of block b at positions 2b, 2b+1, and theta concatenates the
     per-block angle vectors in block order.  The stack goes to its route a
-    chunk at a time, every chunk by the same rule of block size.  A stack
-    holding NaN or inf fails before any route runs: LAPACK iterates to its
-    limit on such a block.
+    chunk at a time, every chunk by the same rule of block size and field.
+    A stack holding NaN or inf fails before any route runs: LAPACK iterates
+    to its limit on such a block.
     """
     if not np.isfinite(blocks).all():
         raise NumericalFailureError(np.nan, tol.reconstruct)
@@ -83,11 +90,12 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     rights = np.empty_like(lefts)
     theta = np.empty((k, h))
     step = max(1, _CHUNK_ENTRIES // (m * m))
+    batched = m >= (BATCHED_MIN_DIM if np.iscomplexobj(blocks) else 4)
     for lo in range(0, k, step):
         rows = slice(lo, lo + step)
         if m == 2:
             factors, residual = _csd_dim2_batch(blocks[rows])
-        elif m >= BATCHED_MIN_DIM:
+        elif batched:
             factors, residual = _csd_batched(blocks[rows], tol)
         else:
             factors, residual = _csd_per_block(blocks[rows])
@@ -130,7 +138,7 @@ def _csd_batched(blocks: np.ndarray, tol: Tolerances):
     if done.all() and taken.size == k:
         return factors, residual
     kept = taken[done]
-    rest = np.setdiff1d(np.arange(k), kept)
+    rest = np.delete(np.arange(k), kept)
     redone, redone_residual = _csd_per_block(blocks[rest])
     out = tuple(np.empty((k, *f.shape[1:]), f.dtype) for f in redone)
     for o, f, g in zip(out, redone, factors):
@@ -156,8 +164,8 @@ def _may_separate(blocks: np.ndarray) -> np.ndarray:
     exactly rank-deficient quadrant, as in most degenerate walk blocks.
     """
     h = blocks.shape[1] // 2
-    live = np.flatnonzero(_min_r(blocks[:, :h, h:]) > DEGEN_EPS / 2)
-    return live[_min_r(blocks[live, :h, :h]) > DEGEN_EPS / 2]
+    r = _min_r(np.stack((blocks[:, :h, h:], blocks[:, :h, :h]), axis=1))
+    return np.flatnonzero((r > DEGEN_EPS / 2).all(axis=-1))
 
 
 def _csd_van_loan(blocks: np.ndarray, live: np.ndarray, screen: bool):
@@ -184,7 +192,7 @@ def _csd_van_loan(blocks: np.ndarray, live: np.ndarray, screen: bool):
     """
     h = blocks.shape[1] // 2
     a = _take(blocks, live)
-    u, sigma, x = np.linalg.svd(a[:, :h, :h])  # sigma descends, so theta ascends
+    u, sigma, x = _svd(a[:, :h, :h])  # sigma descends, so theta ascends
     uh_x12 = _herm(u) @ a[:, :h, h:]
     # arccos of a singular value near 1 loses half the digits; the row norms
     # of u^H X12 give sin(theta) with full absolute accuracy instead.
@@ -207,7 +215,7 @@ def _csd_van_loan(blocks: np.ndarray, live: np.ndarray, screen: bool):
         resid = a[:, h:, h:] - (v * c[..., None, :]) @ y
         resid -= v @ (_herm(v) @ resid)
         resid -= (resid @ _herm(y)) @ y
-        v0, _, y0 = np.linalg.svd(resid)
+        v0, _, y0 = _svd(resid)
         phase = _unit_phase(np.sum(uh_x12 * y0.conj(), axis=-1), np.ones(c.shape, y.dtype))
         y0 *= phase[..., :, None]
         v0 *= phase.conj()[..., None, :]
@@ -219,6 +227,45 @@ def _csd_van_loan(blocks: np.ndarray, live: np.ndarray, screen: bool):
         np.copyto(y, y0, where=small[..., :, None])
         np.copyto(v, v0, where=small[..., None, :])
     return live, (u, v, theta, x, y)
+
+
+# 2 x 2 matrix entries (a00, a01, a10, a11) to twice (e, f, h, g)
+_EFHG = np.array(
+    [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]]
+)
+_HALF_SUM_DIFF = np.array([[0.5, 0.5], [0.5, -0.5]])
+# the signs of a rotation's entries (cos, -sin, sin, cos)
+_ROTATION_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
+
+
+def _svd(a: np.ndarray):
+    """np.linalg.svd of a stack, in closed form for real 2 x 2 matrices."""
+    if a.shape[-1] == 2 and not np.iscomplexobj(a):
+        return _svd2(a)
+    return np.linalg.svd(a)
+
+
+def _svd2(a: np.ndarray):
+    """(u, sigma, vh) of a (k, 2, 2) real stack: sigma descending and >= 0.
+
+    A 2 x 2 matrix is e I + h J + f Z + g X, with J = [[0, -1], [1, 0]], Z
+    = diag(1, -1) and X = [[0, 1], [1, 0]].  Its first two terms are q
+    R(a2), a rotation by a2 scaled by q = |(e, h)|, and its last two r R(a1)
+    Z, a reflection scaled by r = |(f, g)|.  So it is R(phi) diag(q + r, q -
+    r) R(psi) with phi, psi = (a2 +- a1) / 2: one rotation on each side, and
+    where q < r a sign on u's second column makes the second singular value
+    r - q.
+    """
+    # twice e, f, h, g: the halves are taken once, on the singular values
+    d = a.reshape(-1, 4) @ _EFHG
+    qr = np.hypot(d[:, :2], d[:, 2:])  # 2q, 2r
+    turns = np.arctan2(d[:, 2:], d[:, :2]) @ _HALF_SUM_DIFF  # (a2, a1) to (phi, psi)
+    # cos phi, cos psi, sin phi, sin psi
+    cs = np.concatenate((np.cos(turns), np.sin(turns)), axis=-1)
+    u = (cs[:, [0, 2, 2, 0]] * _ROTATION_SIGNS).reshape(-1, 2, 2)
+    u[qr[:, 0] < qr[:, 1], :, 1] *= -1.0
+    vh = (cs[:, [1, 3, 3, 1]] * _ROTATION_SIGNS).reshape(-1, 2, 2)
+    return u, np.abs(qr @ _HALF_SUM_DIFF), vh
 
 
 def _small_clusters(c: np.ndarray, small: np.ndarray):

@@ -311,8 +311,10 @@ def stack_residual(blocks, got) -> np.ndarray:
     return csd._reconstruction_residual(blocks, *factors)
 
 
-LAPACK_STACKS = stack_params((4, 8))
-SEPARATED_STACKS = stack_params((16, 64))
+# complex blocks below 16 go to LAPACK; real blocks from 4 and complex ones from 16
+# take the batched route where they are separated
+LAPACK_STACKS = {f"complex-m{m}": (unitary_group, m) for m in (4, 8)}
+SEPARATED_STACKS = {"real-m4": (ortho_group, 4), "real-m8": (ortho_group, 8), **stack_params((16, 64))}
 
 
 @pytest.mark.parametrize("group, m", LAPACK_STACKS.values(), ids=LAPACK_STACKS.keys())
@@ -339,13 +341,69 @@ def test_stacked_kernel_is_bit_identical_on_walk_stacks(monkeypatch):
     stacks = walk_stacks()
     assert {s.shape[1] for s in stacks} == {4, 8, 16, 32}
     calls = cossin_calls(monkeypatch)
-    clustered = 0
+    clustered = degenerate = 0
     for blocks in stacks:
-        theta = assert_bit_identical_to_cossin(blocks)
+        k = blocks.shape[0]
+        out = split_stack(blocks, Tolerances())
+        got = [f.reshape(k, -1) for f in out]
+        want = [f.reshape(k, -1) for f in reference_split(blocks)]
+        theta = want[1]
         clustered += np.count_nonzero(np.abs(np.diff(theta, axis=1)) <= DEGEN_EPS)
+        margins = np.concatenate((np.diff(theta, axis=1), np.cos(theta), np.sin(theta)), axis=1)
+        bad = (margins <= DEGEN_EPS).any(axis=1)
+        degenerate += np.count_nonzero(bad)
+        # degenerate blocks go to LAPACK and come out as it splits them alone
+        for g, w in zip(got, want):
+            assert np.array_equal(g[bad], w[bad])
+        # separated ones take the batched route and agree within rounding
+        assert np.abs(got[1][~bad] - theta[~bad]).max(initial=0.0) <= 1e-12
+        for g, w in zip(got[::2], want[::2]):
+            assert np.abs(g[~bad] - w[~bad]).max(initial=0.0) <= 1e-10
+        assert stack_residual(blocks, out).max() <= 1e-12
     assert clustered  # the walk stacks carry degenerate theta clusters
-    # the m16 and m32 walk blocks are degenerate too: every block went to LAPACK
-    assert len(calls) == sum(s.shape[0] for s in stacks)
+    assert 0 < degenerate < sum(s.shape[0] for s in stacks)
+    # the degenerate blocks, and only they, went to LAPACK; at m16 and m32 that is every block
+    assert len(calls) == degenerate
+
+
+def rotation(t):
+    return np.stack([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]).transpose(2, 0, 1)
+
+
+def svd2_inputs():
+    rng = np.random.default_rng(22)
+    diagonal = np.zeros((50, 2, 2))
+    diagonal[:, [0, 1], [0, 1]] = rng.standard_normal((50, 2))
+    diagonal[0] = np.diag([0.5, 2.0])  # ascending, so the SVD must swap them
+    turns = rng.uniform(0, 2 * np.pi, 50)
+    return {
+        "random": rng.standard_normal((1000, 2, 2)),
+        "diagonal": diagonal,
+        "rank-1": rng.standard_normal((50, 2, 1)) * rng.standard_normal((50, 1, 2)),
+        "zero": np.zeros((3, 2, 2)),
+        "equal": 3.0 * rotation(turns),  # a scaled rotation: sigma_1 == sigma_2
+        "reflection": 2.0 * rotation(turns) @ np.diag([1.0, -1.0]),  # det < 0
+    }
+
+
+SVD2_INPUTS = svd2_inputs()
+
+
+@pytest.mark.parametrize("a", SVD2_INPUTS.values(), ids=SVD2_INPUTS.keys())
+def test_closed_form_2x2_svd_agrees_with_numpy(a):
+    u, sigma, vh = csd._svd2(a)
+    u_np, sigma_np, _ = np.linalg.svd(a)
+    eps = np.finfo(float).eps
+    scale = np.maximum(sigma_np[:, :1], 1.0)
+    assert np.abs((u * sigma[:, None, :]) @ vh - a).max() <= 8 * eps * scale.max()
+    for f in (u, vh):
+        assert np.abs(f @ np.swapaxes(f, -1, -2) - np.eye(2)).max() <= 4 * eps
+    assert np.all(sigma[:, 0] >= sigma[:, 1]) and np.all(sigma >= 0.0)
+    assert np.abs(sigma - sigma_np).max() <= 8 * eps * scale.max()
+    # where the singular values are apart, the singular vectors are numpy's up to sign
+    apart = sigma_np[:, 0] - sigma_np[:, 1] > 1e-3 * scale[:, 0]
+    overlap = np.abs(np.swapaxes(u_np, -1, -2) @ u)[apart]
+    assert np.abs(overlap - np.eye(2)).max(initial=0.0) <= 1e-12
 
 
 def test_canonicalize_stack_equals_one_block_at_a_time():

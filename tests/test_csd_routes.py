@@ -80,12 +80,15 @@ def degenerate_blocks(draw, h, group):
 
 
 GROUPS = {"real": ortho_group, "complex": unitary_group}
+# half block sizes below SVD_ROUTE_MIN_DIM that take the batched route
+HALVES = {"real": (ortho_group, [2, 4, 8, 16]), "complex": (unitary_group, [8, 16])}
 
 
-@pytest.mark.parametrize("group", GROUPS.values(), ids=GROUPS.keys())
+@pytest.mark.parametrize("group, halves", HALVES.values(), ids=HALVES.keys())
 @ROUTES
-@hypothesis.given(data=st.data(), h=st.sampled_from([8, 16]))
-def test_separated_blocks_take_the_batched_route(group, data, h):
+@hypothesis.given(data=st.data())
+def test_separated_blocks_take_the_batched_route(group, halves, data):
+    h = data.draw(st.sampled_from(halves))
     blocks = np.stack(data.draw(st.lists(separated_blocks(h, group), min_size=1, max_size=3)))
     with pytest.MonkeyPatch.context() as mp:
         calls = cossin_calls(mp)
@@ -93,10 +96,11 @@ def test_separated_blocks_take_the_batched_route(group, data, h):
     assert not calls
 
 
-@pytest.mark.parametrize("group", GROUPS.values(), ids=GROUPS.keys())
+@pytest.mark.parametrize("group, halves", HALVES.values(), ids=HALVES.keys())
 @ROUTES
-@hypothesis.given(data=st.data(), h=st.sampled_from([8, 16]))
-def test_degenerate_blocks_reach_cossin_bit_identically(group, data, h):
+@hypothesis.given(data=st.data())
+def test_degenerate_blocks_reach_cossin_bit_identically(group, halves, data):
+    h = data.draw(st.sampled_from(halves))
     degenerate = data.draw(st.lists(degenerate_blocks(h, group), min_size=1, max_size=3))
     separated = data.draw(separated_blocks(h, group))
     at = data.draw(st.integers(0, len(degenerate)))
