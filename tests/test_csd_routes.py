@@ -123,27 +123,30 @@ def test_degenerate_blocks_reach_cossin_bit_identically(group, halves, data):
         assert np.array_equal(g[at].reshape(a.shape), a)
 
 
-def test_a_block_that_fails_the_batched_check_alone_falls_back(monkeypatch):
-    blocks = random_stack(unitary_group, 16, 4, seed=40)
-    clean = split_stack(blocks, Tolerances())
-    van_loan = csd._csd_van_loan
+def test_a_block_that_fails_the_batched_check_alone_falls_back():
+    # a complex stack, and a real one whose SVDs take the 2 x 2 closed form
+    for group, m in ((unitary_group, 16), (ortho_group, 4)):
+        blocks = random_stack(group, m, 4, seed=40)
+        clean = split_stack(blocks, Tolerances())
+        van_loan = csd._csd_van_loan
 
-    def spoiled(stack, live, screen):
-        separated, (u, v, theta, x, y) = van_loan(stack, live, screen)
-        assert np.array_equal(separated, np.arange(4))
-        y[2] = -y[2]  # block 2's X12 and X22 no longer reconstruct
-        return separated, (u, v, theta, x, y)
+        def spoiled(stack, live, screen):
+            separated, (u, v, theta, x, y) = van_loan(stack, live, screen)
+            assert np.array_equal(separated, np.arange(4))
+            y[2] = -y[2]  # block 2's X12 and X22 no longer reconstruct
+            return separated, (u, v, theta, x, y)
 
-    monkeypatch.setattr(csd, "_csd_van_loan", spoiled)
-    calls = cossin_calls(monkeypatch)
-    got = split_stack(blocks, Tolerances())
-    assert len(calls) == 1 and np.array_equal(calls[0], blocks[2])
-    want = reference_split(blocks[2:3])
-    for g, c, w in zip(got, clean, want):
-        g, c = g.reshape(4, -1, *g.shape[1:]), c.reshape(4, -1, *c.shape[1:])
-        assert np.array_equal(g[[0, 1, 3]], c[[0, 1, 3]])
-        assert np.array_equal(g[2].reshape(w.shape), w)
-    assert stack_residual(blocks, got).max() <= 1e-12
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csd, "_csd_van_loan", spoiled)
+            calls = cossin_calls(mp)
+            got = split_stack(blocks, Tolerances())
+        assert len(calls) == 1 and np.array_equal(calls[0], blocks[2])
+        want = reference_split(blocks[2:3])
+        for g, c, w in zip(got, clean, want):
+            g, c = g.reshape(4, -1, *g.shape[1:]), c.reshape(4, -1, *c.shape[1:])
+            assert np.array_equal(g[[0, 1, 3]], c[[0, 1, 3]])
+            assert np.array_equal(g[2].reshape(w.shape), w)
+        assert stack_residual(blocks, got).max() <= 1e-12
 
 
 def test_blocks_with_a_zero_line_skip_every_svd(monkeypatch):
