@@ -16,6 +16,18 @@ The kernel works on a whole stack of equal-size blocks, one recursion level
 at a time, and writes the factors into preallocated output stacks.  Routes,
 by block size m:
 
+* m >= DEFLATE_MIN_DIM, a block with quadrant-pure rows: an exact
+  deflation first (Van Loan 1985 and Sutton 2009, cited below).  A top row
+  with a zero X12 row and a bottom row with a zero X21 row are a pair with
+  theta = 0 and unit columns of u and v; a top row with a zero X11 row and a
+  bottom row with a zero X22 row one with theta = pi/2.  Their x and y rows
+  are the block's own rows.  The unpaired rows form a smaller unitary in
+  bases of what the paired x and y rows leave free, and that goes by the
+  rules below for its size.  A block whose rows all pair is split by index
+  gathers alone; a block without a pair goes by the rules below as it is.
+  Walk operators are mostly such rows, and LAPACK's split of them mixes the
+  rows of a cluster at 0 or pi/2 into dense factors, which the next levels
+  then split into more nonzero angles.
 * m = 2: a closed form.
 * Real m >= 4 and complex m >= 16: a batched route after Van Loan
   ("Computing the CS and the generalized singular value decompositions",
@@ -67,6 +79,11 @@ SVD_ROUTE_MIN_DIM = 512
 # complex blocks at least this large take the batched route where they are
 # separated; real blocks take it from m = 4
 BATCHED_MIN_DIM = 16
+# blocks at least this large split off their pairs of quadrant-pure rows
+# exactly before any other route runs.  Smaller ones keep LAPACK's split of
+# such blocks, which the paper's published walk circuits reproduce: deflated,
+# the 8 x 8 square walk and the 16 x 16 star walk lose their published gates.
+DEFLATE_MIN_DIM = 32
 # the batched routes take a stack this many entries at a time, so their
 # temporaries stay small next to a whole recursion level's stack
 _CHUNK_ENTRIES = 1 << 18
@@ -90,15 +107,10 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     rights = np.empty_like(lefts)
     theta = np.empty((k, h))
     step = max(1, _CHUNK_ENTRIES // (m * m))
-    batched = m >= (BATCHED_MIN_DIM if np.iscomplexobj(blocks) else 4)
+    route = _csd_deflating if m >= DEFLATE_MIN_DIM else _csd_routed
     for lo in range(0, k, step):
         rows = slice(lo, lo + step)
-        if m == 2:
-            factors, residual = _csd_dim2_batch(blocks[rows])
-        elif batched:
-            factors, residual = _csd_batched(blocks[rows], tol)
-        else:
-            factors, residual = _csd_per_block(blocks[rows])
+        factors, residual = route(blocks[rows], tol)
         _require(residual, tol)
         u, v, th, x, y = factors
         lefts[rows, 0], lefts[rows, 1] = u.reshape(-1, h, h), v.reshape(-1, h, h)
@@ -112,6 +124,139 @@ def _require(residual: np.ndarray, tol: Tolerances):
     worst = float(np.max(residual))
     if not worst <= tol.reconstruct:
         raise NumericalFailureError(worst, tol.reconstruct)
+
+
+def _csd_routed(blocks: np.ndarray, tol: Tolerances):
+    """Canonical factors and residuals of a (k, m, m) stack by its size and field's route."""
+    m = blocks.shape[1]
+    if m == 2:
+        return _csd_dim2_batch(blocks)
+    if m >= (BATCHED_MIN_DIM if np.iscomplexobj(blocks) else 4):
+        return _csd_batched(blocks, tol)
+    return _csd_per_block(blocks)
+
+
+def _csd_deflating(blocks: np.ndarray, tol: Tolerances):
+    """CSD of a (k, 2h, 2h) stack: blocks with pairs of quadrant-pure rows deflated.
+
+    A block without such a pair takes its size and field's route as it is.
+    """
+    if np.all(blocks):  # not one zero entry, as in Haar blocks: no pure row
+        return _csd_routed(blocks, tol)
+    top, bottom, p0, q = _pure_pairs(blocks)
+    parts = []
+    for rows in (np.flatnonzero(q), np.flatnonzero(q == 0)):
+        if rows.size:
+            a = _take(blocks, rows)
+            if q[rows[0]]:
+                parts.append((rows, *_csd_deflated(a, top[rows], bottom[rows], p0[rows], q[rows], tol)))
+            else:
+                parts.append((rows, *_csd_routed(a, tol)))
+    return _merge(blocks.shape[0], parts)
+
+
+def _pure_pairs(blocks: np.ndarray):
+    """Each block's pairs of quadrant-pure rows, matched in row order.
+
+    A top row with a zero X12 row pairs with a bottom row with a zero X21
+    row (theta = 0), and one with a zero X11 row with one with a zero X22
+    row (theta = pi/2).  Returns (top, bottom, p0, q): pair j < q[b] of block
+    b joins top row top[b, j] and bottom row h + bottom[b, j]; the first
+    p0[b] pairs have theta = 0.  The unpaired rows follow in row order.
+    """
+    k, m, _ = blocks.shape
+    h = m // 2
+    # zero[b, s, i, c]: row i of side s (top, bottom) of block b is zero in column half c
+    zero = ~blocks.reshape(k, 2, h, 2, h).any(axis=-1)
+    counts = np.count_nonzero(zero, axis=2)
+    p0 = np.minimum(counts[:, 0, 1], counts[:, 1, 0])
+    p1 = np.minimum(counts[:, 0, 0], counts[:, 1, 1])
+    top = _pairs_first(zero[:, 0, :, 1], p0, zero[:, 0, :, 0], p1)
+    bottom = _pairs_first(zero[:, 1, :, 0], p0, zero[:, 1, :, 1], p1)
+    return top, bottom, p0, p0 + p1
+
+
+def _pairs_first(at_zero: np.ndarray, p0: np.ndarray, at_right: np.ndarray, p1: np.ndarray):
+    """Row orders: the first p0 rows of mask at_zero, the first p1 of mask at_right, then the rest."""
+    key = np.full(at_zero.shape, 2)
+    key[at_right & (np.cumsum(at_right, axis=-1) <= p1[:, None])] = 1
+    key[at_zero & (np.cumsum(at_zero, axis=-1) <= p0[:, None])] = 0
+    return np.argsort(key, axis=-1, kind="stable")
+
+
+def _csd_deflated(a, top, bottom, p0, q, tol: Tolerances):
+    """CSD of a (k, 2h, 2h) stack whose blocks have q > 0 pairs of quadrant-pure rows each.
+
+    Pair j of a block joins its top row t = top[j] and bottom row b = h +
+    bottom[j]: u and v take the unit columns e_t and e_b, and for j < p0
+    (theta = 0) x_j = X11[t] and y_j = X22[b], else (theta = pi/2) x_j =
+    -X21[b] and y_j = X12[t].  The r = h - q unpaired rows on each side are
+    orthogonal to the paired rows, so in orthonormal bases px and py of what
+    the paired x and y rows leave of their space they form a 2r x 2r
+    unitary.  The remainders of each size r go through their route together,
+    and their CSD gives the rest of u, v and theta, and through px and py the
+    rest of x and y.  A block whose rows all pair is index gathers alone.
+    """
+    k, m, _ = a.shape
+    h = m // 2
+    stack, j = np.arange(k)[:, None], np.arange(h)
+    paired = j < q[:, None]
+    right = paired & (j >= p0[:, None])
+    u, v = np.zeros((k, h, h), a.dtype), np.zeros((k, h, h), a.dtype)
+    u[stack, top, j] = paired
+    v[stack, bottom, j] = paired
+    theta = np.where(right, np.pi / 2, 0.0)
+    x, y = a[stack, top, :h], a[stack, h + bottom, h:]
+    b, i = np.nonzero(right)
+    x[b, i], y[b, i] = -a[b, h + bottom[b, i], :h], a[b, top[b, i], h:]
+    for r in np.unique(h - q[q < h]):
+        g, n = np.flatnonzero(q == h - r), h - r
+        px, py = _complement(x[g, :n]), _complement(y[g, :n])
+        rest = a[g[:, None], np.concatenate((top[g, n:], h + bottom[g, n:]), axis=-1)]
+        sub = np.concatenate((rest[..., :h] @ _herm(px), rest[..., h:] @ _herm(py)), axis=-1)
+        (su, sv, st, sx, sy), _ = _csd_routed(sub, tol)
+        rows, cols = g[:, None, None], n + np.arange(r)
+        u[rows, top[g, n:, None], cols] = su.reshape(-1, r, r)
+        v[rows, bottom[g, n:, None], cols] = sv.reshape(-1, r, r)
+        theta[g, n:] = st.reshape(-1, r)
+        x[g, n:] = sx.reshape(-1, r, r) @ px
+        y[g, n:] = sy.reshape(-1, r, r) @ py
+    factors = _canonicalize(u, v, theta, x, y)
+    del u, v, x, y  # each as large as a quadrant of the stack
+    return factors, _reconstruction_residual(a, *factors)
+
+
+def _complement(d: np.ndarray) -> np.ndarray:
+    """(k, h - q, h) orthonormal rows orthogonal to the (k, q, h) orthonormal rows d.
+
+    Unit rows at the columns that no row of d touches come first, in column
+    order.  Where d's rows touch more columns than there are rows, a QR of
+    those columns completes the basis among them.
+    """
+    k, q, h = d.shape
+    touched = d.any(axis=1)
+    free = h - np.count_nonzero(touched, axis=-1)
+    cols = np.argsort(touched, axis=-1, kind="stable")[:, : h - q, None]
+    p = np.zeros((k, h - q, h), d.dtype)
+    np.put_along_axis(p, cols, (np.arange(h - q) < free[:, None])[..., None], axis=-1)
+    for b in np.flatnonzero(free < h - q):
+        s = np.flatnonzero(touched[b])
+        basis = np.linalg.qr(_herm(d[b][:, s]), mode="complete")[0]
+        p[b, free[b] :][:, s] = _herm(basis[:, q:])
+    return p
+
+
+def _merge(k: int, parts):
+    """(factors, residual) of a k-block stack from (indices, factors, residual) parts."""
+    if len(parts) == 1:
+        return parts[0][1:]
+    out = tuple(np.empty((k, *f.shape[1:]), f.dtype) for f in parts[0][1])
+    residual = np.empty(k)
+    for rows, factors, part_residual in parts:
+        for o, f in zip(out, factors):
+            o[rows] = f
+        residual[rows] = part_residual
+    return out, residual
 
 
 def _csd_batched(blocks: np.ndarray, tol: Tolerances):
@@ -139,13 +284,8 @@ def _csd_batched(blocks: np.ndarray, tol: Tolerances):
         return factors, residual
     kept = taken[done]
     rest = np.delete(np.arange(k), kept)
-    redone, redone_residual = _csd_per_block(blocks[rest])
-    out = tuple(np.empty((k, *f.shape[1:]), f.dtype) for f in redone)
-    for o, f, g in zip(out, redone, factors):
-        o[rest], o[kept] = f, g[done]
-    out_residual = np.empty(k)
-    out_residual[rest], out_residual[kept] = redone_residual, residual[done]
-    return out, out_residual
+    kept_factors = tuple(f[done] for f in factors)
+    return _merge(k, [(rest, *_csd_per_block(blocks[rest])), (kept, kept_factors, residual[done])])
 
 
 def _csd_per_block(blocks: np.ndarray):

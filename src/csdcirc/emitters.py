@@ -28,7 +28,8 @@ holding a non-ASCII character or shorter than ``_VECTOR_MIN`` rows of
 ``_ROW`` bytes; and the angle tokens of a batch of records with fewer than
 ``_VECTOR_MIN`` of them.  So the bytes and angles are always the
 ``Decimal`` code's.  Exact zero is written ``0E+50``, which is what
-``Decimal`` makes of ``0 / _PI``.
+``Decimal`` makes of ``0 / _PI``, and the reader writes +0.0 for that
+token itself, as ``_from_turns`` reads it, before the kernel runs.
 
 JSON angles are written as ``repr`` writes them and read through the same
 driver and kernel with ``_INV_POW10``; ``repr``, ``json.loads`` and
@@ -147,6 +148,9 @@ _D2_WORDS = slice(3, 9)
 _DIGITS4 = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
 _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
 _ZERO_TOKEN = np.frombuffer(b"0E+50", np.uint8)
+# _ZERO_TOKEN as the low bytes of a little-endian word, and the mask of those bytes
+_ZERO_WORD = np.uint64(int.from_bytes(_ZERO_TOKEN.tobytes(), "little"))
+_ZERO_MASK = np.uint64((1 << 8 * _ZERO_TOKEN.size) - 1)
 
 
 def _row_templates() -> np.ndarray:
@@ -434,9 +438,14 @@ def _parse_turns(table: _Lines | _TextBytes, records: list[_Record]) -> tuple[np
     if table.buf is not None and sum(r.count for r in records) >= _VECTOR_MIN:
         counts = np.array([r.count for r in records])
         index = _ranges(np.array([table.first_tokens[r.first] for r in records]), counts)
-        spans = _all_spans(table.token_starts[index], table.token_ends[index])
+        starts, ends = table.token_starts[index], table.token_ends[index]
         values = np.empty(index.size)
         text, buf = table.text, table.buf
+
+        def spans(at: int, stop: int):
+            s, e = starts[at:stop], ends[at:stop]
+            return s, e, _nonzero_tokens(buf, s, e, values[at:stop])
+
         _, failed = _read_numbers(text, buf, index.size, spans, _PI_POW10, _from_turns, values, ArithmeticError)
         bad = np.zeros(index.size, bool)
         bad[failed] = True
@@ -450,6 +459,21 @@ def _parse_turns(table: _Lines | _TextBytes, records: list[_Record]) -> tuple[np
         except ArithmeticError:
             bad[i] = True
     return values, bad
+
+
+def _nonzero_tokens(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write +0.0 to out where a token buf[starts:ends] is _ZERO_TOKEN, as _from_turns reads it; return where not.
+
+    The emitter writes every zero angle so, and the kernel would read each
+    through a second window for its exponent.
+    """
+    words = np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
+    short = np.flatnonzero(ends - starts == _ZERO_TOKEN.size)
+    zero = short[words[starts[short]] & _ZERO_MASK == _ZERO_WORD]
+    out[zero] = 0.0
+    read = np.ones(starts.size, bool)
+    read[zero] = False
+    return read
 
 
 def _build_gates(table: _Lines | _TextBytes, records: list[_Record], gates: list, gate_lines: list[int]):

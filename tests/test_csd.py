@@ -129,28 +129,32 @@ def test_svd_route_agrees_with_lapack_route(monkeypatch):
 
 
 def test_svd_route_handles_identity_padding(monkeypatch):
-    # X12 = 0: the 256 angles form one cluster at theta = 0
+    # X12 = 0: the 256 angles form one cluster at theta = 0.  Every row is
+    # quadrant-pure, so split_stack pairs them all; the route is called alone
     for group in (ortho_group, unitary_group):
         o = np.eye(512, dtype=complex if group is unitary_group else float)
         o[:100, :100] = group.rvs(100, random_state=12)
         with monkeypatch.context() as mp:
             calls = cossin_calls(mp)
+            (_, _, theta, _, _), residual = csd._csd_batched(o[None], Tolerances())
             got = split_stack(o[None], Tolerances())
         assert not calls
-        assert np.all(got[1] == 0.0)
-        assert stack_residual(o[None], got).max() <= 1e-12
+        assert np.all(theta == 0.0) and np.all(got[1] == 0.0)
+        assert residual.max() <= 1e-12
+        assert_deflated(o[None], got)
 
 
 def test_svd_route_splits_a_walk_top_block(monkeypatch):
-    # the whole padded operator of a 10-qubit walk: large clusters at 0 and pi/2
+    # the whole padded operator of a 10-qubit walk: large clusters at 0 and pi/2.
+    # split_stack splits its quadrant-pure rows off first, so the route is called alone
     op, _ = walk_unitary(random_graph(40, 1000, seed=3))
     a = pad_to_power_of_two(op)[0].as_real()[None]
     calls = cossin_calls(monkeypatch)
-    got = split_stack(a, Tolerances())
+    (_, _, theta, _, _), residual = csd._csd_batched(a, Tolerances())
     assert not calls
-    theta = got[1]
     assert np.count_nonzero(np.abs(np.diff(theta)) <= DEGEN_EPS) > 100
-    assert stack_residual(a, got).max() <= 1e-12
+    assert residual.max() <= 1e-12
+    assert_deflated(a, split_stack(a, Tolerances()))
 
 
 def test_a_failed_svd_sends_the_stack_to_lapack(monkeypatch):
@@ -337,6 +341,33 @@ def test_batched_route_agrees_with_cossin_per_block(monkeypatch, group, m):
         assert np.array_equal(alone[2], whole[2][2 * b : 2 * b + 2])
 
 
+def quadrant_pure_pairs(blocks):
+    """Per block, the pairs of rows with zero X12 and X21 rows (theta = 0) and zero X11 and X22 rows."""
+    zero_rows = [np.count_nonzero(~q.any(axis=-1), axis=-1) for q in quadrants(blocks)]
+    return np.minimum(zero_rows[1], zero_rows[2]), np.minimum(zero_rows[0], zero_rows[3])
+
+
+def quadrants(blocks):
+    """X11, X12, X21 and X22 of each block of a stack."""
+    h = blocks.shape[1] // 2
+    return blocks[:, :h, :h], blocks[:, :h, h:], blocks[:, h:, :h], blocks[:, h:, h:]
+
+
+def assert_deflated(blocks, got):
+    """Each block's pairs of quadrant-pure rows come out exact: theta 0 or pi/2 with unit u and v columns.
+
+    theta ascends, so the p0 pairs at 0 lead; the p1 pairs at pi/2 come first among the angles there.
+    """
+    k, h = blocks.shape[0], blocks.shape[1] // 2
+    lefts, theta = got[0].reshape(k, 2, h, h), got[1].reshape(k, h)
+    for b, (p0, p1) in enumerate(zip(*quadrant_pure_pairs(blocks))):
+        right = np.flatnonzero(theta[b] == np.pi / 2)[:p1]
+        assert right.size == p1 and np.all(theta[b, :p0] == 0.0)
+        paired = lefts[b][..., np.concatenate((np.arange(p0), right))]
+        assert np.all(np.count_nonzero(paired, axis=1) == 1) and np.all(paired.sum(axis=1) == 1.0)
+    assert stack_residual(blocks, got).max() <= 1e-12
+
+
 def test_stacked_kernel_is_bit_identical_on_walk_stacks(monkeypatch):
     stacks = walk_stacks()
     assert {s.shape[1] for s in stacks} == {4, 8, 16, 32}
@@ -344,6 +375,13 @@ def test_stacked_kernel_is_bit_identical_on_walk_stacks(monkeypatch):
     clustered = degenerate = 0
     for blocks in stacks:
         k = blocks.shape[0]
+        if blocks.shape[1] >= csd.DEFLATE_MIN_DIM:
+            # the top block splits its quadrant-pure rows off exactly; the rest of it may call LAPACK
+            before = len(calls)
+            assert sum(quadrant_pure_pairs(blocks)).min() > 0
+            assert_deflated(blocks, split_stack(blocks, Tolerances()))
+            del calls[before:]
+            continue
         out = split_stack(blocks, Tolerances())
         got = [f.reshape(k, -1) for f in out]
         want = [f.reshape(k, -1) for f in reference_split(blocks)]
@@ -362,7 +400,7 @@ def test_stacked_kernel_is_bit_identical_on_walk_stacks(monkeypatch):
         assert stack_residual(blocks, out).max() <= 1e-12
     assert clustered  # the walk stacks carry degenerate theta clusters
     assert 0 < degenerate < sum(s.shape[0] for s in stacks)
-    # the degenerate blocks, and only they, went to LAPACK; at m16 and m32 that is every block
+    # the degenerate blocks below DEFLATE_MIN_DIM, and only they, went to LAPACK
     assert len(calls) == degenerate
 
 
