@@ -44,8 +44,8 @@ by block size m:
 * Complex m = 4 and 8, and every block the batched route does not take:
   LAPACK's CSD (xORCSD for real, xUNCSD for complex blocks; B. D. Sutton,
   "Computing the complete CS decomposition", Numer. Algorithms 50, 2009),
-  one raw call per block, with the routine and its workspace size looked
-  up once per chunk of the stack.  Degenerate blocks keep LAPACK's
+  one raw call per distinct block, with the routine and its workspace size
+  looked up once per chunk of the stack.  Degenerate blocks keep LAPACK's
   sparse bases this way, and with them the circuits' gate counts.  Complex
   blocks of 4 and 8 stay here because the pipeline benchmark counts their
   calls: its smoke test pins 4 calls at m = 4 and 1 at m = 8 on a complex
@@ -57,6 +57,15 @@ Chunks bound the temporaries of these batched steps, which would otherwise
 grow with the whole level.  A block that the batched route leaves above the
 reconstruction tolerance is redone by LAPACK, and so is a chunk where an SVD
 does not converge, so route selection never affects correctness.
+
+Each chunk's byte-equal blocks are split once.  From m = 4 up the route
+takes only the first copy of each distinct block, in stack order, and the
+repeats get their first copy's factors by one gather per chunk.  A walk's
+symmetry shows up as such repeats: most blocks of its low levels are copies.
+Every route splits a block as it splits it alone, so the repeats come out
+bit for bit as their own splits would; the one exception is the whole-chunk
+LAPACK redo after an SVD that does not converge, which sees the chunk's
+distinct blocks only.
 """
 
 from __future__ import annotations
@@ -95,9 +104,10 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     Returns (lefts, theta, rights) where lefts/rights stack the u, v / x, y
     factors of block b at positions 2b, 2b+1, and theta concatenates the
     per-block angle vectors in block order.  The stack goes to its route a
-    chunk at a time, every chunk by the same rule of block size and field.
-    A stack holding NaN or inf fails before any route runs: LAPACK iterates
-    to its limit on such a block.
+    chunk at a time, every chunk by the same rule of block size and field;
+    from m = 4 up a chunk's repeats are split once, and their copies get
+    the first copy's factors.  A stack holding NaN or inf fails before any
+    route runs: LAPACK iterates to its limit on such a block.
     """
     if not np.isfinite(blocks).all():
         raise NumericalFailureError(np.nan, tol.reconstruct)
@@ -110,13 +120,47 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     route = _csd_deflating if m >= DEFLATE_MIN_DIM else _csd_routed
     for lo in range(0, k, step):
         rows = slice(lo, lo + step)
-        factors, residual = route(blocks[rows], tol)
+        chunk = blocks[rows]
+        first, copies = _distinct(chunk) if m >= 4 else (None, None)
+        factors, residual = route(chunk if first is None else chunk[first], tol)
         _require(residual, tol)
+        if copies is not None:
+            factors = tuple(f[copies] for f in factors)
         u, v, th, x, y = factors
         lefts[rows, 0], lefts[rows, 1] = u.reshape(-1, h, h), v.reshape(-1, h, h)
         rights[rows, 0], rights[rows, 1] = x.reshape(-1, h, h), y.reshape(-1, h, h)
         theta[rows] = th.reshape(-1, h)
     return lefts.reshape(2 * k, h, h), theta.reshape(-1), rights.reshape(2 * k, h, h)
+
+
+def _distinct(chunk: np.ndarray):
+    """(first, copies) of a (k, m, m) stack's byte-distinct blocks, or (None, None) without repeats.
+
+    first indexes the first copy of each distinct block, ascending; block b
+    is a copy of block first[copies[b]].  A fingerprint of each block's
+    64-bit words under odd weights screens for repeats: equal blocks always
+    get equal fingerprints, so where all differ no two blocks are equal.
+    Otherwise np.unique over each block's bytes groups the stack exactly;
+    the fingerprint alone would not, as signed entries collide under it.
+    """
+    k = chunk.shape[0]
+    if k < 2:
+        return None, None
+    words = np.ascontiguousarray(chunk).reshape(k, -1).view(np.uint64)
+    prints = np.sort(words @ _odd_weights(words.shape[1]))
+    if np.all(prints[1:] != prints[:-1]):
+        return None, None
+    keys = words.view(np.dtype((np.void, words.shape[1] * 8)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == k:
+        return None, None
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+def _odd_weights(n: int) -> np.ndarray:
+    """n distinct odd 64-bit weights, the same on every call."""
+    return (2 * np.arange(n, dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
 
 
 def _require(residual: np.ndarray, tol: Tolerances):

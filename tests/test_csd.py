@@ -404,6 +404,20 @@ def test_stacked_kernel_is_bit_identical_on_walk_stacks(monkeypatch):
     assert len(calls) == degenerate
 
 
+# per-block LAPACK calls on the walk-n8 benchmark operator at seed 0 (one BLAS
+# thread), by block size: one per distinct degenerate block.  Splitting every
+# copy made 3,729 calls at m = 4 and 1,006 at m = 8
+WALK_N8_COSSIN_CALLS = {4: 1644, 8: 639}
+
+
+def test_walk_n8_splits_each_distinct_block_once(monkeypatch):
+    op, _ = walk_unitary(random_graph(28, 251, seed=0))
+    calls = cossin_calls(monkeypatch)
+    decompose.recursive_csd(pad_to_power_of_two(op)[0])
+    sizes = [c.shape[0] for c in calls]
+    assert {m: sizes.count(m) for m in WALK_N8_COSSIN_CALLS} == WALK_N8_COSSIN_CALLS
+
+
 def rotation(t):
     return np.stack([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]).transpose(2, 0, 1)
 
