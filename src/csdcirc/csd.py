@@ -38,9 +38,10 @@ by block size m:
   quadrant.  For real 4 x 4 blocks both SVDs are of 2 x 2 matrices and take
   a closed form.  Below SVD_ROUTE_MIN_DIM only well-separated blocks take
   the route: a block with a theta cluster within DEGEN_EPS, or a theta at 0
-  or pi/2, goes to LAPACK, and a QR factorisation of the top quadrants finds
-  most blocks of the last kind, walk blocks above all, without the SVD.
-  From SVD_ROUTE_MIN_DIM up every block takes it, where it beats LAPACK.
+  or pi/2, goes to LAPACK.  A block with an all-zero row or column in a
+  quadrant has a theta of exactly 0 or pi/2, and goes there without an SVD;
+  most degenerate walk blocks are such blocks.  From SVD_ROUTE_MIN_DIM up
+  every block takes the route, where it beats LAPACK.
 * Complex m = 4 and 8, and every block the batched route does not take:
   LAPACK's CSD (xORCSD for real, xUNCSD for complex blocks; B. D. Sutton,
   "Computing the complete CS decomposition", Numer. Algorithms 50, 2009),
@@ -307,10 +308,10 @@ def _csd_batched(blocks: np.ndarray, tol: Tolerances):
     """CSD of a (k, 2h, 2h) stack: batched where it may, LAPACK for the rest.
 
     Returns the canonical factors and each block's reconstruction residual.
-    Below SVD_ROUTE_MIN_DIM only separated blocks take the batched route.  A
-    block it leaves above tol.reconstruct is redone by LAPACK, so only the
-    blocks that need it pay for a per-block call; an SVD that does not
-    converge sends the whole stack to LAPACK.
+    Below SVD_ROUTE_MIN_DIM only separated blocks take the batched route, and
+    a block with a zero line in a quadrant skips its SVDs.  A block it leaves
+    above tol.reconstruct is redone by LAPACK; an SVD that does not converge
+    sends the whole stack there.
     """
     k, m, _ = blocks.shape
     screen = m < SVD_ROUTE_MIN_DIM
@@ -339,17 +340,17 @@ def _csd_per_block(blocks: np.ndarray):
 
 
 def _may_separate(blocks: np.ndarray) -> np.ndarray:
-    """Indices of the blocks of a (k, 2h, 2h) stack not proven singular in X12 or X11.
+    """Indices of the blocks of a (k, 2h, 2h) stack with no all-zero row or column in a quadrant.
 
-    X12 = QR has R's singular values, the sin theta, and the smallest
-    singular value of a triangular R is at most its smallest diagonal entry;
-    likewise X11 and cos theta.  So a tiny r_jj proves, without an SVD, that
-    a block is not separated.  A zero line makes one, and so does any
-    exactly rank-deficient quadrant, as in most degenerate walk blocks.
+    A zero line makes its quadrant singular, so the block has a theta of
+    exactly 0 or pi/2, and the margin screen of _csd_van_loan would reject
+    it after the SVDs.  Most degenerate walk blocks have one.
     """
-    h = blocks.shape[1] // 2
-    r = _min_r(np.stack((blocks[:, :h, h:], blocks[:, :h, :h]), axis=1))
-    return np.flatnonzero((r > DEGEN_EPS / 2).all(axis=-1))
+    k, m, _ = blocks.shape
+    # as in _pure_pairs: [b, s, i, c, j] is entry (i, j) of quadrant (s, c) of block b
+    nonzero = blocks.reshape(k, 2, m // 2, 2, m // 2) != 0
+    rows, cols = nonzero.any(axis=-1), nonzero.any(axis=2)
+    return np.flatnonzero(rows.reshape(k, -1).all(axis=-1) & cols.reshape(k, -1).all(axis=-1))
 
 
 def _csd_van_loan(blocks: np.ndarray, live: np.ndarray, screen: bool):
@@ -514,12 +515,6 @@ def cossin(a: np.ndarray, csd, options: dict):
     if info != 0:
         theta = np.full(h, np.nan)
     return u1, u2, theta, v1h, v2h
-
-
-def _min_r(x: np.ndarray) -> np.ndarray:
-    """Smallest |r_jj| of the QR factorisation of each matrix of a stack."""
-    r = np.linalg.qr(x, mode="r")
-    return np.abs(np.diagonal(r, axis1=-2, axis2=-1)).min(axis=-1)
 
 
 def _csd_dim2_batch(blocks: np.ndarray):

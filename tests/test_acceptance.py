@@ -6,6 +6,7 @@ round-trip property sweep (criterion 1) and the 12-qubit walk compilation
 them.
 """
 
+import os
 import time
 
 import numpy as np
@@ -190,6 +191,8 @@ def test_criterion_6_scalability_12_qubits():
     circ = compile_real(seq)
     compile_elapsed = time.time() - t0
     assert compile_elapsed < 600.0
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":  # the circuit depends on the BLAS threads
+        assert count_subgates(circ)["total"] == 1_373_750
     worst = verify(circ, padded)  # 64 sampled states, limit 1e-8
     report(
         6,

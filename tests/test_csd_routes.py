@@ -2,8 +2,11 @@
 
 Blocks are built as diag(u, v) . [[C, S], [-S, C]] . diag(x, y) from drawn
 angles, so each test controls whether a block is separated: angles more than
-DEGEN_EPS apart, none at 0 or pi/2, and no all-zero line in X11 or X12.
+DEGEN_EPS apart and none at 0 or pi/2, so no all-zero row or column in any
+quadrant.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -45,40 +48,56 @@ def separated_blocks(draw, h, group):
     return from_angles(np.sort(steps) * STEP, group, draw(st.integers(0, 2**20)))
 
 
+def zero_line_block(h, group, seed, side, half, transpose=False):
+    """A unitary whose one zero line is a row in quadrant (side, half), or transposed a column in (half, side).
+
+    1 (+) W zeroes row 0 of X12.  Swapping rows 0 and h moves that row to
+    the bottom, and swapping columns 0 and h moves its one nonzero to the
+    right half, so its zeros lie in the left one.  A permutation of the rows
+    within each half then places the row anywhere in its quadrant, and a
+    unitary on the columns of each half fills every other line.
+    """
+    m = 2 * h
+    a = np.zeros((m, m), dtype=complex if group is unitary_group else float)
+    a[0, 0] = 1.0
+    a[1:, 1:] = group.rvs(m - 1, random_state=seed)
+    if side:
+        a[[0, h]] = a[[h, 0]]
+    if not half:
+        a[:, [0, h]] = a[:, [h, 0]]
+    rng = np.random.default_rng(seed)
+    a = a[np.concatenate([rng.permutation(h), h + rng.permutation(h)])]
+    a[:, :h] @= group.rvs(h, random_state=seed + 1)
+    a[:, h:] @= group.rvs(h, random_state=seed + 2)
+    return a.T.copy() if transpose else a
+
+
 @st.composite
 def degenerate_blocks(draw, h, group):
-    """A block that is not separated, for one of four reasons."""
+    """A block that is not separated, for one of seven reasons."""
     steps = draw(st.lists(st.integers(1, 999), min_size=h, max_size=h, unique=True))
     theta = np.sort(steps) * STEP
     seed = draw(st.integers(0, 2**20))
     # blocks with zero lines from DEFLATE_MIN_DIM up are test_csd_deflation.py's
-    kinds = ["zero", "right-angle", "cluster"] + ["zero-line"] * (2 * h < csd.DEFLATE_MIN_DIM)
+    zero_lines = ["zero-line", "block-diagonal", "anti-block-diagonal"]
+    kinds = ["zero", "right-angle", "cluster", "kron"] + zero_lines * (2 * h < csd.DEFLATE_MIN_DIM)
     kind = draw(st.sampled_from(kinds))
+    if kind == "kron":  # h equal angles, and no zero entry
+        return np.kron(group.rvs(2, random_state=seed), group.rvs(h, random_state=seed + 1))
+    if kind == "zero-line":
+        return zero_line_block(h, group, seed, *(draw(st.booleans()) for _ in range(3)))
+    if kind.endswith("block-diagonal"):  # every angle 0 on the block diagonal, pi/2 off it
+        u, v, z = group.rvs(h, random_state=seed), group.rvs(h, random_state=seed + 1), np.zeros((h, h))
+        return np.block([[u, z], [z, v]] if kind == "block-diagonal" else [[z, u], [v, z]])
     i = draw(st.integers(0, h - 1))
     if kind == "zero":
         theta[i] = 0.0
     elif kind == "right-angle":
         theta[i] = np.pi / 2
-    elif kind == "cluster":
+    else:
         j = draw(st.integers(0, h - 1).filter(lambda j: j != i))
         theta[j] = theta[i] + draw(st.floats(0.0, 0.9 * DEGEN_EPS))
-    if kind != "zero-line":
-        return from_angles(theta, group, seed)
-    # 1 (+) W zeroes row 0 of X12; moving column 0 into the right half
-    # zeroes row 0 of X11 instead.  Permutations within each half then place
-    # that zero line anywhere in its quadrant.
-    m = 2 * h
-    a = np.zeros((m, m), dtype=complex if group is unitary_group else float)
-    a[0, 0] = 1.0
-    a[1:, 1:] = group.rvs(m - 1, random_state=seed)
-    rng = np.random.default_rng(seed)
-    rows = np.concatenate([rng.permutation(h), h + rng.permutation(h)])
-    cols = np.concatenate([rng.permutation(h), h + rng.permutation(h)])
-    if draw(st.booleans()):
-        cols[[0, h]] = cols[[h, 0]]
-    if draw(st.booleans()):  # a zero column instead of a zero row
-        a = a.T.copy()
-    return a[rows][:, cols]
+    return from_angles(theta, group, seed)
 
 
 GROUPS = {"real": ortho_group, "complex": unitary_group}
@@ -156,13 +175,18 @@ def test_a_block_that_fails_the_batched_check_alone_falls_back():
 
 
 def test_blocks_with_a_zero_line_skip_every_svd(monkeypatch):
-    # signed permutations, as in walk operators: each has zero lines in X11.
-    # From DEFLATE_MIN_DIM up their rows all pair instead (test_csd_deflation.py)
+    # a zero row, and transposed a zero column, in each quadrant, and signed
+    # permutations as in walk operators.  From DEFLATE_MIN_DIM up such rows
+    # pair instead (test_csd_deflation.py)
     rng = np.random.default_rng(41)
-    blocks = np.stack([np.diag(rng.choice([-1.0, 1.0], 16))[rng.permutation(16)] for _ in range(3)])
     svds = []
     monkeypatch.setattr(csd, "_csd_van_loan", lambda *args: svds.append(args))
-    assert_bit_identical_to_cossin(blocks)
+    for group, h in ((ortho_group, 2), (ortho_group, 4), (ortho_group, 8), (unitary_group, 8)):
+        lines = itertools.product((0, 1), repeat=3)
+        blocks = [zero_line_block(h, group, 41 + i, *line) for i, line in enumerate(lines)]
+        signs = rng.choice([-1.0, 1.0], (3, 2 * h))
+        blocks += [np.diag(d).astype(blocks[0].dtype)[rng.permutation(2 * h)] for d in signs]
+        assert_bit_identical_to_cossin(np.stack(blocks))
     assert not svds
 
 
