@@ -1,29 +1,32 @@
-"""Time LAPACK's CSD against the package's own routes on both sides of their size rules.
+"""Time LAPACK's CSD against the package's router and Van Loan's route on the same stacks.
 
-Real blocks of dimension >= 4 and complex ones of dimension >= 16 take the
-package's batched route: below SVD_ROUTE_MIN_DIM only the well-separated
-ones, from there up every block.  Real 4 x 4 blocks take it with a
-closed-form 2 x 2 SVD.  This benchmark times per-block LAPACK (xORCSD) and
-the batched route on the same real stacks of two kinds: random orthogonal
-blocks, which are separated, and the padded step operator of a random walk,
-whose angles form large clusters at 0 and pi/2.  Below dimension 16, where
-no walk operator is that small, the walk stack holds the blocks of that
-dimension that the recursion meets on 16-dimensional walks, as the low
-levels of a walk's recursion see them.  For each it reports the time per
-block (factors, canonicalisation and the reconstruction check) and the
-worst residual.  A call of the batched route has a fixed cost of about
-0.2 ms, so at dimensions 4 and 8 a stack of a few blocks shows that cost,
-not the per-block one: pass ``--repeats`` in the thousands for the latter.
+Three rows per stack:
 
-Two more rows time the other routes on the same stacks: ``svd`` is Van
-Loan's route without the separation screens, as blocks of
-SVD_ROUTE_MIN_DIM and up take it, with the residual it leaves before any
-LAPACK redo; ``deflate`` splits the pairs of quadrant-pure rows off exactly
-first, as blocks of DEFLATE_MIN_DIM and up do, and routes the rest.  A
-third input, ``pure``, stacks blocks whose rows are all quadrant-pure:
-direct sums of random orthogonal pieces of 1 to 4 rows, each piece's
-columns in one half, the rows permuted.  Every row of such a block pairs,
-so ``deflate`` splits it by index gathers alone.
+* ``lapack``: per-block LAPACK (xORCSD for real, xUNCSD for complex blocks)
+  on every block, canonicalised and checked by reconstruction.
+* ``routed``: the router, as ``split_stack`` runs it on a chunk.  Repeats
+  are split once; from DEFLATE_MIN_DIM up the pairs of quadrant-pure rows
+  split off exactly; real blocks of dimension >= 4 (complex >= 16) take
+  Van Loan's batched route, below SVD_ROUTE_MIN_DIM only the well-separated
+  ones, and LAPACK takes the rest.  Real 4 x 4 blocks take the batched
+  route with a closed-form 2 x 2 SVD.
+* ``svd``: Van Loan's route on every block without the screens, as blocks
+  of SVD_ROUTE_MIN_DIM and up take it, with the residual it leaves before
+  any LAPACK redo.
+
+Each row reports the time per block (factors, canonicalisation and the
+reconstruction check) and the worst residual.  The stacks are real and of
+three kinds: random orthogonal blocks, which are separated; the padded step
+operator of a random walk, whose angles form large clusters at 0 and pi/2;
+and ``pure`` blocks, direct sums of random orthogonal pieces of 1 to 4 rows,
+each piece's columns in one half, the rows permuted, so that every row pairs
+and the deflation splits them by index gathers alone.  Below dimension 16,
+where no walk operator is that small, the walk stack holds the blocks of
+that dimension that the recursion meets on 16-dimensional walks, as the low
+levels of a walk's recursion see them.  A call of the batched route has a
+fixed cost of about 0.2 ms, so at dimensions 4 and 8 a stack of a few blocks
+shows that cost, not the per-block one: pass ``--repeats`` in the thousands
+for the latter.
 """
 
 import argparse
@@ -36,9 +39,8 @@ from scipy.linalg import block_diag
 
 from csdcirc.csd import (
     _canonicalize,
-    _csd_batched,
-    _csd_deflating,
-    _csd_per_block,
+    _csd_lapack,
+    _csd_routed,
     _csd_van_loan,
     _reconstruction_residual,
     split_stack,
@@ -74,18 +76,17 @@ def pure_block(dim: int, rng) -> np.ndarray:
     return block_diag(*pieces)[rng.permutation(dim)]
 
 
-def svd_route(blocks: np.ndarray):
-    """Van Loan's route on every block, unscreened: its factors and residuals, before a LAPACK redo."""
-    _, factors = _csd_van_loan(blocks, np.arange(len(blocks)), False)
+def checked(blocks: np.ndarray, factors):
+    """Canonical factors of a stack and each block's reconstruction residual."""
     factors = _canonicalize(*factors)
     return factors, _reconstruction_residual(blocks, *factors)
 
 
 ROUTES = {
-    "lapack": _csd_per_block,
-    "batched": lambda blocks: _csd_batched(blocks, Tolerances()),
-    "svd": svd_route,
-    "deflate": lambda blocks: _csd_deflating(blocks, Tolerances()),
+    "lapack": lambda blocks: checked(blocks, _csd_lapack(blocks)),
+    "routed": lambda blocks: _csd_routed(blocks, Tolerances()),
+    # Van Loan's route on every block, unscreened: its residuals before a LAPACK redo
+    "svd": lambda blocks: checked(blocks, _csd_van_loan(blocks, np.arange(len(blocks)), False)[1]),
 }
 
 

@@ -13,60 +13,64 @@ free, v) column is real non-negative.  Correctness of every split is asserted
 by reconstruction, not by the construction route.
 
 The kernel works on a whole stack of equal-size blocks, one recursion level
-at a time, and writes the factors into preallocated output stacks.  Routes,
-by block size m:
+at a time, and writes the factors into preallocated output stacks.  Every
+stack goes through one router: split_stack's chunks of a level, whose size
+bounds the temporaries of the batched steps, and the deflation's remainders
+alike.  From m = 4 up the routes take only the first copy of each
+byte-distinct block, in stack order, and each such block takes the first
+route below that takes it:
 
-* m >= DEFLATE_MIN_DIM, a block with quadrant-pure rows: an exact
-  deflation first (Van Loan 1985 and Sutton 2009, cited below).  A top row
-  with a zero X12 row and a bottom row with a zero X21 row are a pair with
-  theta = 0 and unit columns of u and v; a top row with a zero X11 row and a
-  bottom row with a zero X22 row one with theta = pi/2.  Their x and y rows
-  are the block's own rows.  The unpaired rows form a smaller unitary in
-  bases of what the paired x and y rows leave free, and that goes by the
-  rules below for its size.  A block whose rows all pair is split by index
-  gathers alone; a block without a pair goes by the rules below as it is.
-  Walk operators are mostly such rows, and LAPACK's split of them mixes the
-  rows of a cluster at 0 or pi/2 into dense factors, which the next levels
-  then split into more nonzero angles.
-* m = 2: a closed form.
-* Real m >= 4 and complex m >= 16: a batched route after Van Loan
-  ("Computing the CS and the generalized singular value decompositions",
-  Numer. Math. 46, 1985).  One stacked SVD of the top-left quadrants gives
-  u, theta and x.  Where sin theta > 1/2, v and y follow from the
-  off-diagonal quadrants divided by sin theta; the rest come from a stacked
-  SVD of the bottom-right residual, phase-matched through the top-right
-  quadrant.  For real 4 x 4 blocks both SVDs are of 2 x 2 matrices and take
-  a closed form.  Below SVD_ROUTE_MIN_DIM only well-separated blocks take
-  the route: a block with a theta cluster within DEGEN_EPS, or a theta at 0
-  or pi/2, goes to LAPACK.  A block with an all-zero row or column in a
-  quadrant has a theta of exactly 0 or pi/2, and goes there without an SVD;
-  most degenerate walk blocks are such blocks.  From SVD_ROUTE_MIN_DIM up
-  every block takes the route, where it beats LAPACK.
-* Complex m = 4 and 8, and every block the batched route does not take:
-  LAPACK's CSD (xORCSD for real, xUNCSD for complex blocks; B. D. Sutton,
-  "Computing the complete CS decomposition", Numer. Algorithms 50, 2009),
-  one raw call per distinct block, with the routine and its workspace size
-  looked up once per chunk of the stack.  Degenerate blocks keep LAPACK's
-  sparse bases this way, and with them the circuits' gate counts.  Complex
-  blocks of 4 and 8 stay here because the pipeline benchmark counts their
-  calls: its smoke test pins 4 calls at m = 4 and 1 at m = 8 on a complex
-  8 x 8, and haar-n7's csd.cossin.* metrics are these calls.  Moving them
-  to the batched route waits for a change to that benchmark.
+1. m = 2: a closed form.
+2. m >= DEFLATE_MIN_DIM, a block with quadrant-pure rows: an exact
+   deflation (Van Loan 1985 and Sutton 2009, cited below).  A top row with
+   a zero X12 row and a bottom row with a zero X21 row are a pair with
+   theta = 0 and unit columns of u and v; a top row with a zero X11 row and
+   a bottom row with a zero X22 row one with theta = pi/2.  Their x and y
+   rows are the block's own rows.  The unpaired rows form a smaller unitary
+   in bases of what the paired x and y rows leave free, and the remainders
+   of a stack go through the router together.  They skip this route and
+   take the routes below for their size: deflated as well, they would give
+   other, slightly smaller circuits (168 fewer subgates of 1,373,750 on a
+   12-qubit walk), and every walk circuit's exact text would change.  A
+   block whose rows all pair is split by index gathers alone.  Walk
+   operators are mostly such rows, and LAPACK's split of them mixes the
+   rows of a cluster at 0 or pi/2 into dense factors, which the next levels
+   then split into more nonzero angles.
+3. Real m >= 4 and complex m >= BATCHED_MIN_DIM: a batched route after Van
+   Loan ("Computing the CS and the generalized singular value
+   decompositions", Numer. Math. 46, 1985).  One stacked SVD of the
+   top-left quadrants gives u, theta and x.  Where sin theta > 1/2, v and y
+   follow from the off-diagonal quadrants divided by sin theta; the rest
+   come from a stacked SVD of the bottom-right residual, phase-matched
+   through the top-right quadrant.  For real 4 x 4 blocks both SVDs are of
+   2 x 2 matrices and take a closed form.  Below SVD_ROUTE_MIN_DIM only
+   well-separated blocks take the route: a block with an all-zero row or
+   column in a quadrant has a theta of exactly 0 or pi/2 and does not reach
+   the SVDs, and after them a block with a theta cluster within DEGEN_EPS,
+   or a theta within DEGEN_EPS of 0 or pi/2, passes on.  Most degenerate
+   walk blocks have such a zero line.  From SVD_ROUTE_MIN_DIM up every
+   block takes the route, where it beats LAPACK.
+4. Every other block: LAPACK's CSD (xORCSD for real, xUNCSD for complex
+   blocks; B. D. Sutton, "Computing the complete CS decomposition", Numer.
+   Algorithms 50, 2009), one raw call per block, with the routine and its
+   workspace size looked up once per stack.  Degenerate blocks keep
+   LAPACK's sparse bases this way, and with them the circuits' gate counts.
+   Complex blocks of 4 and 8 stay here because the pipeline benchmark counts
+   their calls: its smoke test pins 4 calls at m = 4 and 1 at m = 8 on a
+   complex 8 x 8, and haar-n7's csd.cossin.* metrics are these calls.
+   Moving them to the batched route waits for a change to that benchmark.
 
-Canonicalisation and the reconstruction check each run once over a chunk.
-Chunks bound the temporaries of these batched steps, which would otherwise
-grow with the whole level.  A block that the batched route leaves above the
-reconstruction tolerance is redone by LAPACK, and so is a chunk where an SVD
-does not converge, so route selection never affects correctness.
-
-Each chunk's byte-equal blocks are split once.  From m = 4 up the route
-takes only the first copy of each distinct block, in stack order, and the
-repeats get their first copy's factors by one gather per chunk.  A walk's
-symmetry shows up as such repeats: most blocks of its low levels are copies.
-Every route splits a block as it splits it alone, so the repeats come out
-bit for bit as their own splits would; the one exception is the whole-chunk
-LAPACK redo after an SVD that does not converge, which sees the chunk's
-distinct blocks only.
+The router canonicalises and checks the reconstruction of its distinct
+blocks once, whatever their routes.  A block that the batched route leaves
+above the reconstruction tolerance, NaN included, is redone by LAPACK, and
+so is every block of that route where an SVD does not converge, so route
+selection never affects correctness.  The repeats then get their first
+copy's factors by one gather.  A walk's symmetry shows up as such repeats:
+most blocks of its low levels are copies, and so are many of the
+deflation's remainders.  Every route splits a block as it splits it alone,
+so the repeats come out bit for bit as their own splits would; the one
+exception is the LAPACK redo after an SVD that does not converge, which
+takes every block of the stack that the batched route had.
 """
 
 from __future__ import annotations
@@ -94,8 +98,8 @@ BATCHED_MIN_DIM = 16
 # such blocks, which the paper's published walk circuits reproduce: deflated,
 # the 8 x 8 square walk and the 16 x 16 star walk lose their published gates.
 DEFLATE_MIN_DIM = 32
-# the batched routes take a stack this many entries at a time, so their
-# temporaries stay small next to a whole recursion level's stack
+# split_stack routes a stack this many entries at a time, so the batched
+# steps' temporaries stay small next to a whole recursion level's stack
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -104,11 +108,10 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
 
     Returns (lefts, theta, rights) where lefts/rights stack the u, v / x, y
     factors of block b at positions 2b, 2b+1, and theta concatenates the
-    per-block angle vectors in block order.  The stack goes to its route a
-    chunk at a time, every chunk by the same rule of block size and field;
-    from m = 4 up a chunk's repeats are split once, and their copies get
-    the first copy's factors.  A stack holding NaN or inf fails before any
-    route runs: LAPACK iterates to its limit on such a block.
+    per-block angle vectors in block order.  The stack goes to the router a
+    chunk at a time, and every block is held to the reconstruction
+    tolerance.  A stack holding NaN or inf fails before any route runs:
+    LAPACK iterates to its limit on such a block.
     """
     if not np.isfinite(blocks).all():
         raise NumericalFailureError(np.nan, tol.reconstruct)
@@ -118,16 +121,10 @@ def split_stack(blocks: np.ndarray, tol: Tolerances):
     rights = np.empty_like(lefts)
     theta = np.empty((k, h))
     step = max(1, _CHUNK_ENTRIES // (m * m))
-    route = _csd_deflating if m >= DEFLATE_MIN_DIM else _csd_routed
     for lo in range(0, k, step):
         rows = slice(lo, lo + step)
-        chunk = blocks[rows]
-        first, copies = _distinct(chunk) if m >= 4 else (None, None)
-        factors, residual = route(chunk if first is None else chunk[first], tol)
+        (u, v, th, x, y), residual = _csd_routed(blocks[rows], tol)
         _require(residual, tol)
-        if copies is not None:
-            factors = tuple(f[copies] for f in factors)
-        u, v, th, x, y = factors
         lefts[rows, 0], lefts[rows, 1] = u.reshape(-1, h, h), v.reshape(-1, h, h)
         rights[rows, 0], rights[rows, 1] = x.reshape(-1, h, h), y.reshape(-1, h, h)
         theta[rows] = th.reshape(-1, h)
@@ -171,48 +168,76 @@ def _require(residual: np.ndarray, tol: Tolerances):
         raise NumericalFailureError(worst, tol.reconstruct)
 
 
-def _csd_routed(blocks: np.ndarray, tol: Tolerances):
-    """Canonical factors and residuals of a (k, m, m) stack by its size and field's route."""
+def _csd_routed(blocks: np.ndarray, tol: Tolerances, deflate: bool = True):
+    """Canonical factors of a (k, m, m) stack, and a residual for each block the routes split.
+
+    Each distinct block takes the first route of the module's list that
+    takes it; the deflation's remainders pass deflate=False to skip it.
+    """
     m = blocks.shape[1]
     if m == 2:
         return _csd_dim2_batch(blocks)
-    if m >= (BATCHED_MIN_DIM if np.iscomplexobj(blocks) else 4):
-        return _csd_batched(blocks, tol)
-    return _csd_per_block(blocks)
-
-
-def _csd_deflating(blocks: np.ndarray, tol: Tolerances):
-    """CSD of a (k, 2h, 2h) stack: blocks with pairs of quadrant-pure rows deflated.
-
-    A block without such a pair takes its size and field's route as it is.
-    """
-    if np.all(blocks):  # not one zero entry, as in Haar blocks: no pure row
-        return _csd_routed(blocks, tol)
-    top, bottom, p0, q = _pure_pairs(blocks)
-    parts = []
-    for rows in (np.flatnonzero(q), np.flatnonzero(q == 0)):
-        if rows.size:
-            a = _take(blocks, rows)
-            if q[rows[0]]:
-                parts.append((rows, *_csd_deflated(a, top[rows], bottom[rows], p0[rows], q[rows], tol)))
+    first, copies = _distinct(blocks)
+    a = blocks if first is None else blocks[first]
+    k, h = a.shape[0], m // 2
+    deflating = deflate and m >= DEFLATE_MIN_DIM
+    batched = m >= (BATCHED_MIN_DIM if np.iscomplexobj(a) else 4)
+    screen = m < SVD_ROUTE_MIN_DIM
+    left = np.ones(k, dtype=bool)  # the blocks no route has taken yet
+    lineless = True  # the blocks with no all-zero row or column in a quadrant
+    parts, taken = [], np.arange(0)
+    if (deflating or batched and screen) and not np.all(a):  # Haar blocks have no zero entry
+        # [b, s, i, c, j] is entry (i, j) of quadrant (s, c) of block b
+        nonzero = a.reshape(k, 2, h, 2, h) != 0
+        rows = nonzero.any(axis=-1)
+        lineless = rows.reshape(k, -1).all(axis=-1) & nonzero.any(axis=2).reshape(k, -1).all(axis=-1)
+        del nonzero  # a bool per entry of the stack: not held through the deflation
+        if deflating:
+            top, bottom, p0, q = _pure_pairs(~rows)
+            pure = q.nonzero()[0]
+            if pure.size:
+                pairs = (top[pure], bottom[pure], p0[pure], q[pure])
+                parts.append((pure, _csd_deflated(_take(a, pure), *pairs, tol)))
+                left[pure] = False
+    if batched:
+        live = (left & lineless if screen else left).nonzero()[0]
+        if live.size:
+            try:
+                taken, factors = _csd_van_loan(a, live, screen)
+            except np.linalg.LinAlgError:  # its blocks go on to LAPACK
+                pass
             else:
-                parts.append((rows, *_csd_routed(a, tol)))
-    return _merge(blocks.shape[0], parts)
+                parts.append((taken, factors))
+                left[taken] = False
+    rest = left.nonzero()[0]
+    if rest.size:
+        parts.append((rest, _csd_lapack(_take(a, rest))))
+    factors = _merge(k, parts)
+    del parts  # where routes shared the stack, _merge copied their factors
+    factors = _canonicalize(*factors)
+    residual = _reconstruction_residual(a, *factors)
+    redo = taken[~(residual[taken] <= tol.reconstruct)]  # a NaN residual fails too
+    if redo.size:
+        redone = _canonicalize(*_csd_lapack(a[redo]))
+        for f, r in zip(factors, redone):
+            f[redo] = r
+        residual[redo] = _reconstruction_residual(a[redo], *redone)
+    if copies is not None:
+        factors = tuple(f[copies] for f in factors)
+    return factors, residual
 
 
-def _pure_pairs(blocks: np.ndarray):
+def _pure_pairs(zero: np.ndarray):
     """Each block's pairs of quadrant-pure rows, matched in row order.
 
-    A top row with a zero X12 row pairs with a bottom row with a zero X21
-    row (theta = 0), and one with a zero X11 row with one with a zero X22
-    row (theta = pi/2).  Returns (top, bottom, p0, q): pair j < q[b] of block
-    b joins top row top[b, j] and bottom row h + bottom[b, j]; the first
-    p0[b] pairs have theta = 0.  The unpaired rows follow in row order.
+    zero[b, s, i, c] says that row i of side s (top, bottom) of block b is
+    zero in column half c.  A top row with a zero X12 row pairs with a
+    bottom row with a zero X21 row (theta = 0), and one with a zero X11 row
+    with one with a zero X22 row (theta = pi/2).  Returns (top, bottom, p0,
+    q): pair j < q[b] of block b joins top row top[b, j] and bottom row h +
+    bottom[b, j]; the first p0[b] pairs have theta = 0.  The unpaired rows
+    follow in row order.
     """
-    k, m, _ = blocks.shape
-    h = m // 2
-    # zero[b, s, i, c]: row i of side s (top, bottom) of block b is zero in column half c
-    zero = ~blocks.reshape(k, 2, h, 2, h).any(axis=-1)
     counts = np.count_nonzero(zero, axis=2)
     p0 = np.minimum(counts[:, 0, 1], counts[:, 1, 0])
     p1 = np.minimum(counts[:, 0, 0], counts[:, 1, 1])
@@ -238,9 +263,10 @@ def _csd_deflated(a, top, bottom, p0, q, tol: Tolerances):
     -X21[b] and y_j = X12[t].  The r = h - q unpaired rows on each side are
     orthogonal to the paired rows, so in orthonormal bases px and py of what
     the paired x and y rows leave of their space they form a 2r x 2r
-    unitary.  The remainders of each size r go through their route together,
-    and their CSD gives the rest of u, v and theta, and through px and py the
-    rest of x and y.  A block whose rows all pair is index gathers alone.
+    unitary.  The remainders of each size r go through the router together,
+    without its deflation, and their CSD gives the rest of u, v and theta,
+    and through px and py the rest of x and y.  A block whose rows all pair
+    is index gathers alone.  Returns the factors before canonicalisation.
     """
     k, m, _ = a.shape
     h = m // 2
@@ -259,16 +285,14 @@ def _csd_deflated(a, top, bottom, p0, q, tol: Tolerances):
         px, py = _complement(x[g, :n]), _complement(y[g, :n])
         rest = a[g[:, None], np.concatenate((top[g, n:], h + bottom[g, n:]), axis=-1)]
         sub = np.concatenate((rest[..., :h] @ _herm(px), rest[..., h:] @ _herm(py)), axis=-1)
-        (su, sv, st, sx, sy), _ = _csd_routed(sub, tol)
+        (su, sv, st, sx, sy), _ = _csd_routed(sub, tol, deflate=False)
         rows, cols = g[:, None, None], n + np.arange(r)
         u[rows, top[g, n:, None], cols] = su.reshape(-1, r, r)
         v[rows, bottom[g, n:, None], cols] = sv.reshape(-1, r, r)
         theta[g, n:] = st.reshape(-1, r)
         x[g, n:] = sx.reshape(-1, r, r) @ px
         y[g, n:] = sy.reshape(-1, r, r) @ py
-    factors = _canonicalize(u, v, theta, x, y)
-    del u, v, x, y  # each as large as a quadrant of the stack
-    return factors, _reconstruction_residual(a, *factors)
+    return u, v, theta, x, y
 
 
 def _complement(d: np.ndarray) -> np.ndarray:
@@ -292,65 +316,14 @@ def _complement(d: np.ndarray) -> np.ndarray:
 
 
 def _merge(k: int, parts):
-    """(factors, residual) of a k-block stack from (indices, factors, residual) parts."""
+    """The factors of a k-block stack from (indices, factors) parts that cover it."""
     if len(parts) == 1:
-        return parts[0][1:]
+        return parts[0][1]
     out = tuple(np.empty((k, *f.shape[1:]), f.dtype) for f in parts[0][1])
-    residual = np.empty(k)
-    for rows, factors, part_residual in parts:
+    for rows, factors in parts:
         for o, f in zip(out, factors):
             o[rows] = f
-        residual[rows] = part_residual
-    return out, residual
-
-
-def _csd_batched(blocks: np.ndarray, tol: Tolerances):
-    """CSD of a (k, 2h, 2h) stack: batched where it may, LAPACK for the rest.
-
-    Returns the canonical factors and each block's reconstruction residual.
-    Below SVD_ROUTE_MIN_DIM only separated blocks take the batched route, and
-    a block with a zero line in a quadrant skips its SVDs.  A block it leaves
-    above tol.reconstruct is redone by LAPACK; an SVD that does not converge
-    sends the whole stack there.
-    """
-    k, m, _ = blocks.shape
-    screen = m < SVD_ROUTE_MIN_DIM
-    live = _may_separate(blocks) if screen else np.arange(k)
-    if not live.size:  # as on most walk blocks below SVD_ROUTE_MIN_DIM
-        return _csd_per_block(blocks)
-    try:
-        taken, factors = _csd_van_loan(blocks, live, screen)
-    except np.linalg.LinAlgError:
-        return _csd_per_block(blocks)
-    factors = _canonicalize(*factors)
-    residual = _reconstruction_residual(_take(blocks, taken), *factors)
-    done = residual <= tol.reconstruct
-    if done.all() and taken.size == k:
-        return factors, residual
-    kept = taken[done]
-    rest = np.delete(np.arange(k), kept)
-    kept_factors = tuple(f[done] for f in factors)
-    return _merge(k, [(rest, *_csd_per_block(blocks[rest])), (kept, kept_factors, residual[done])])
-
-
-def _csd_per_block(blocks: np.ndarray):
-    """LAPACK CSD of each block of a stack, canonicalised, and each block's residual."""
-    factors = _canonicalize(*_csd_lapack(blocks))
-    return factors, _reconstruction_residual(blocks, *factors)
-
-
-def _may_separate(blocks: np.ndarray) -> np.ndarray:
-    """Indices of the blocks of a (k, 2h, 2h) stack with no all-zero row or column in a quadrant.
-
-    A zero line makes its quadrant singular, so the block has a theta of
-    exactly 0 or pi/2, and the margin screen of _csd_van_loan would reject
-    it after the SVDs.  Most degenerate walk blocks have one.
-    """
-    k, m, _ = blocks.shape
-    # as in _pure_pairs: [b, s, i, c, j] is entry (i, j) of quadrant (s, c) of block b
-    nonzero = blocks.reshape(k, 2, m // 2, 2, m // 2) != 0
-    rows, cols = nonzero.any(axis=-1), nonzero.any(axis=2)
-    return np.flatnonzero(rows.reshape(k, -1).all(axis=-1) & cols.reshape(k, -1).all(axis=-1))
+    return out
 
 
 def _csd_van_loan(blocks: np.ndarray, live: np.ndarray, screen: bool):

@@ -128,6 +128,13 @@ def test_svd_route_agrees_with_lapack_route(monkeypatch):
     assert stack_residual(o, got).max() <= 1e-12
 
 
+def van_loan_alone(blocks):
+    """Van Loan's route on every block of a stack, unscreened: canonical factors and residuals."""
+    _, factors = csd._csd_van_loan(blocks, np.arange(len(blocks)), False)
+    factors = csd._canonicalize(*factors)
+    return factors, csd._reconstruction_residual(blocks, *factors)
+
+
 def test_svd_route_handles_identity_padding(monkeypatch):
     # X12 = 0: the 256 angles form one cluster at theta = 0.  Every row is
     # quadrant-pure, so split_stack pairs them all; the route is called alone
@@ -136,7 +143,7 @@ def test_svd_route_handles_identity_padding(monkeypatch):
         o[:100, :100] = group.rvs(100, random_state=12)
         with monkeypatch.context() as mp:
             calls = cossin_calls(mp)
-            (_, _, theta, _, _), residual = csd._csd_batched(o[None], Tolerances())
+            (_, _, theta, _, _), residual = van_loan_alone(o[None])
             got = split_stack(o[None], Tolerances())
         assert not calls
         assert np.all(theta == 0.0) and np.all(got[1] == 0.0)
@@ -150,7 +157,7 @@ def test_svd_route_splits_a_walk_top_block(monkeypatch):
     op, _ = walk_unitary(random_graph(40, 1000, seed=3))
     a = pad_to_power_of_two(op)[0].as_real()[None]
     calls = cossin_calls(monkeypatch)
-    (_, _, theta, _, _), residual = csd._csd_batched(a, Tolerances())
+    (_, _, theta, _, _), residual = van_loan_alone(a)
     assert not calls
     assert np.count_nonzero(np.abs(np.diff(theta)) <= DEGEN_EPS) > 100
     assert residual.max() <= 1e-12

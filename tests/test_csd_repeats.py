@@ -1,5 +1,8 @@
 """Stacks whose blocks repeat: split_stack splits each byte-distinct block once.
 
+So does every stack of the deflation's remainders: distinct blocks that
+leave byte-equal remainders split that remainder once.
+
 Every copy must come out as the block comes out split alone, bit for bit,
 whichever route it takes.  Blocks that differ in one bit, as in the sign of
 a zero, are different blocks; so are blocks whose 64-bit words weigh the
@@ -113,3 +116,36 @@ def test_repeats_across_chunks_split_as_in_one_chunk(monkeypatch):
             chunked = split_stack(blocks, Tolerances())
         for c, w in zip(chunked, whole):
             assert c.tobytes() == w.tobytes()
+
+
+def shared_remainder_block(w: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """A 32 x 32 block: the 2r x 2r unitary w on rows and columns 0..r-1 and 16..15+r, signs elsewhere.
+
+    Its other rows are quadrant-pure pairs with theta = 0, each a signed unit
+    row.  The paired x and y rows leave unit rows free, so the remainder is w
+    itself whatever the signs.
+    """
+    r, h = w.shape[0] // 2, 16
+    outer = np.r_[0:r, h : h + r]
+    a = np.diag(signs).astype(w.dtype)
+    a[np.ix_(outer, outer)] = w
+    return a
+
+
+@pytest.mark.parametrize("r", [2, 5, 7])
+def test_remainders_shared_across_blocks_are_split_once(r):
+    # complex remainders of 2r <= 14 go to LAPACK; blocks 0-2 share one, 3-4 another
+    rng = np.random.default_rng(r)
+    remainders = [unitary_group.rvs(2 * r, random_state=10 * r + i) for i in range(2)]
+    blocks = np.stack(
+        [shared_remainder_block(remainders[b // 3], rng.choice([-1.0, 1.0], 32)) for b in range(5)]
+    )
+    assert len({b.tobytes() for b in blocks}) == 5  # the blocks themselves differ
+    with pytest.MonkeyPatch.context() as mp:
+        calls = cossin_calls(mp)
+        got = split_stack(blocks, Tolerances())
+    assert [c.tobytes() for c in calls] == [w.tobytes() for w in remainders]
+    for b in range(len(blocks)):
+        alone = split_stack(blocks[b : b + 1], Tolerances())
+        for g, a in zip(got, alone):
+            assert g.reshape(len(blocks), -1)[b].tobytes() == a.tobytes()

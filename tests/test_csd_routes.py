@@ -149,8 +149,11 @@ def test_degenerate_blocks_reach_cossin_bit_identically(group, halves, data):
 
 
 def test_a_block_that_fails_the_batched_check_alone_falls_back():
-    # a complex stack, and a real one whose SVDs take the 2 x 2 closed form
-    for group, m in ((unitary_group, 16), (ortho_group, 4)):
+    # a complex stack, and a real one whose SVDs take the 2 x 2 closed form;
+    # block 2's X12 and X22 no longer reconstruct, or its residual is NaN
+    for (group, m), spoil in itertools.product(
+        ((unitary_group, 16), (ortho_group, 4)), (np.negative, lambda y: np.nan)
+    ):
         blocks = random_stack(group, m, 4, seed=40)
         clean = split_stack(blocks, Tolerances())
         van_loan = csd._csd_van_loan
@@ -158,7 +161,7 @@ def test_a_block_that_fails_the_batched_check_alone_falls_back():
         def spoiled(stack, live, screen):
             separated, (u, v, theta, x, y) = van_loan(stack, live, screen)
             assert np.array_equal(separated, np.arange(4))
-            y[2] = -y[2]  # block 2's X12 and X22 no longer reconstruct
+            y[2] = spoil(y[2])
             return separated, (u, v, theta, x, y)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -204,7 +207,7 @@ def test_large_blocks_align_a_cluster_of_small_sin_angles(monkeypatch, group):
     assert stack_residual(blocks, got).max() <= 1e-12
 
 
-ROUTE_NAMES = ("_csd_dim2_batch", "_csd_lapack", "_csd_batched", "_csd_van_loan", "cossin")
+ROUTE_NAMES = ("_csd_dim2_batch", "_csd_lapack", "_csd_routed", "_csd_van_loan", "cossin")
 
 
 @ROUTES
