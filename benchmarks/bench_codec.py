@@ -12,12 +12,13 @@ Gaussian entries scaled by 2**(-n/2), the size of a unitary's.  For each of
 per-value reference, best of ``--repeats``, measures the ``tracemalloc``
 peak of one more call of each, and checks that both read the same bits.
 
-The kernel rows time the number kernel that all three readers share alone,
-best of ``--repeats``, on one chunk of 8,192 tokens of each family: the
-exact-mode turns of seeded angles in (-pi, pi], those angles as ``repr``
-writes them in JSON, and seeded Gaussian entries as ``format_matrix_text``
-writes a 128 x 128 unitary's (``%.17g``).  Each row also gives the share of
-tokens the kernel proves; the rest go to the readers' per-value code.
+The kernel rows time the number kernel that the circuit text and matrix
+text readers share alone, best of ``--repeats``, on one chunk of 8,192
+tokens of each family: the exact-mode turns of seeded angles in (-pi, pi],
+those angles as ``repr`` writes them, and seeded Gaussian entries as
+``format_matrix_text`` writes a 128 x 128 unitary's (``%.17g``).  Each row
+also gives the share of tokens the kernel proves; the rest go to the
+readers' per-value code.
 
 Run as a script, it first sets the allocator as ``pipebench/run.py``'s
 ``keep_freed_memory`` does, so a row's time does not depend on the heap

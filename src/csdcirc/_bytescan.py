@@ -12,7 +12,6 @@ import math
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # Values per numpy pass.  It bounds the pass's temporaries, about 250 bytes
 # a value, so that the codec's peak memory stays that of the per-value
@@ -93,8 +92,8 @@ with localcontext(Context(prec=80)):
 # words of 8 ASCII digits become the integer D of the digits by SWAR
 # (Lemire, Softw. Pract. Exp. 51, 2021).  _scale multiplies D by a
 # double-double table entry, _PI * 10**-k for exact-mode text and 10**-k
-# for JSON and matrix numbers, and rounds it; a result within _PARSE_TIE of
-# a midpoint between two doubles, where that rounding is not proven, goes to
+# for matrix entries, and rounds it; a result within _PARSE_TIE of a
+# midpoint between two doubles, where that rounding is not proven, goes to
 # the caller's per-value code (Clinger, PLDI 1990), as does every token the
 # kernel does not take.
 
@@ -300,11 +299,6 @@ def _read_numbers(text: str, buf, count: int, spans, table, reference, out: np.n
             except errors:
                 failed.append(i)
     return in_shape, failed
-
-
-def _all_spans(starts: np.ndarray, ends: np.ndarray):
-    """spans for _read_numbers that reads every token buf[starts:ends]."""
-    return lambda at, stop: (starts[at:stop], ends[at:stop], None)
 
 
 class _Lines:

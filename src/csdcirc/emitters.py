@@ -31,16 +31,14 @@ holding a non-ASCII character or shorter than ``_VECTOR_MIN`` rows of
 ``Decimal`` makes of ``0 / _PI``, and the reader writes +0.0 for that
 token itself, as ``_from_turns`` reads it, before the kernel runs.
 
-JSON angles are written as ``repr`` writes them and read through the same
-driver and kernel with ``_INV_POW10``; ``repr``, ``json.loads`` and
-``float()`` stay the reference (see the JSON section).
+JSON angles are written in numpy passes as ``repr`` writes them, with
+``repr`` the reference (see the JSON section), and read back by
+``json.loads``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import re
 from decimal import Context, Decimal, localcontext
 from typing import NamedTuple
 
@@ -48,23 +46,17 @@ import numpy as np
 
 from ._bytescan import (
     _CHUNK,
-    _INV_POW10,
-    _MARGIN,
     _PARSE_MAX_PLACES,
     _ROW,
     _VECTOR_MIN,
-    _all_spans,
     _dd,
     _dd_table,
     _fast_two_sum,
     _Lines,
-    _offsets,
-    _padded_bytes,
     _read_numbers,
     _split,
     _text_table,
     _TextBytes,
-    _token_edges,
     _two_prod,
 )
 from .errors import (
@@ -667,122 +659,24 @@ def emit_json(circuit: Circuit) -> str:
     return "".join(parts)
 
 
-# parse_json reads the angle lists of a document in numpy.  Each
-# "angles": [...] list becomes the placeholder NaN, and json.loads parses
-# what is left, with each placeholder a _Slot.  _read_numbers reads the
-# lists' tokens, and float() those its kernel does not prove.  Any other
-# document goes through json.loads whole, which also raises every error: one
-# that is not ASCII or is shorter than _CHUNK // 4 rows of _JSON_ROW bytes,
-# a list token outside the kernel's grammar or a digit alone (json.loads
-# reads it as an int), a list not comma-separated as json.dumps separates
-# it, a list holding "[", a NaN or Infinity of the document's own, and
-# placeholders that do not come back one per rotation gate, in order.
-
-_ANGLE_LIST = re.compile(r'"angles"[ \t\n\r]*:[ \t\n\r]*\[')
-
-
-class _Fallback(Exception):
-    """The document is not one the numpy reader takes; read it with json.loads."""
-
-
-class _Slot(int):
-    """What json.loads makes of the placeholder of the i-th angle list."""
-
-
-def _angle_lists(text: str) -> tuple[dict, list[np.ndarray]]:
-    """The document with its angle lists as _Slots, and the lists' angles; raises _Fallback."""
-    # Below 2,048 angles at their widest, json.loads is as fast: the passes'
-    # fixed cost of about 0.5 ms outweighs what they save.  On compiled
-    # circuits (2-core Xeon, 1 BLAS thread) json.loads and the passes took
-    # 1.8 and 2.7 ms on 1,023 angles (39 KB), 2.9 and 2.7-3.1 ms on 2,016
-    # (69 KB), 5.7 and 5.2 ms on 4,095 (137 KB), 9.4 and 7.9 ms on 8,128.
-    if len(text) < _CHUNK // 4 * _JSON_ROW or not text.isascii():
-        raise _Fallback
-    spans = []
-    match = _ANGLE_LIST.search(text)
-    while match:
-        end = text.find("]", match.end())
-        if end < 0 or text.find("[", match.end(), end) >= 0:
-            raise _Fallback
-        spans.append((match.end(), end))
-        match = _ANGLE_LIST.search(text, end + 1)
-    if not spans:
-        raise _Fallback
-    parts, at = [], 0
-    for start, end in spans:
-        parts += [text[at : start - 1], "NaN"]
-        at = end + 1
-    parts.append(text[at:])
-    skeleton = "".join(parts)
-    slots: list[_Slot] = []
-
-    def slot(_):
-        slots.append(_Slot(len(slots)))
-        return slots[-1]
-
-    try:
-        obj = json.loads(skeleton, parse_constant=slot)
-    except ValueError:
-        raise _Fallback from None
-    if len(slots) != len(spans):
-        raise _Fallback
-    buf = _padded_bytes(text)
-    token_starts, token_ends, _ = _token_edges(buf, b" ,[]\t\n\r")
-    bounds = (np.array(spans) + _MARGIN).astype(token_starts.dtype)  # see _TextBytes
-    firsts = np.searchsorted(token_starts, bounds[:, 0])
-    sizes = np.searchsorted(token_starts, bounds[:, 1]) - firsts
-    index = _ranges(firsts, sizes)
-    starts, ends = token_starts[index], token_ends[index]
-    # a comma right after each token but the last of its list, and no other in the lists
-    inner = np.ones(index.size, bool)
-    inner[np.cumsum(sizes)[sizes > 0] - 1] = False
-    commas = _offsets(buf, ord(","), 0, buf.size).size
-    if commas - skeleton.count(",") != np.count_nonzero(inner) or np.any(buf[ends[inner]] != ord(",")):
-        raise _Fallback
-    if np.any(ends - starts <= 2):  # a lone digit, which json.loads reads as an int, and "-0" as 0
-        raise _Fallback
-    values = np.empty(index.size)
-    try:
-        in_shape, _ = _read_numbers(text, buf, index.size, _all_spans(starts, ends), _INV_POW10, float, values)
-    except ValueError:  # from a token out of the grammar
-        raise _Fallback from None
-    if not in_shape:
-        raise _Fallback
-    return obj, np.split(values, np.cumsum(sizes)[:-1])
-
-
 def parse_json(text: str) -> Circuit:
-    """Parse a JSON circuit: its angle lists in numpy where it can, else through json.loads."""
+    """Parse a JSON circuit: json.loads, then a type check of every value the circuit takes."""
     try:
-        try:
-            obj, lists = _angle_lists(text)
-            order = iter(range(len(lists)))
-
-            def angles_of(value):
-                if type(value) is not _Slot or value != next(order, None):
-                    raise _Fallback
-                return lists[value]
-
-            circuit = _json_circuit(obj, angles_of)
-            if next(order, None) is not None:
-                raise _Fallback
-            return circuit
-        except _Fallback:
-            return _json_circuit(json.loads(text), _numbers)
+        return _json_circuit(json.loads(text))
     except NonFiniteAngleError as exc:  # worded like the other malformed values
         raise JsonFormatError(f"malformed circuit JSON: {ValueError(str(exc))!r}") from exc
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise JsonFormatError(f"malformed circuit JSON: {exc!r}") from exc
 
 
-def _json_circuit(obj, angles_of) -> Circuit:
-    """The circuit of a parsed document; angles_of reads a rotation's "angles" value."""
+def _json_circuit(obj) -> Circuit:
+    """The circuit of a document as json.loads parsed it."""
     gates: list = []
     for spec in obj["gates"]:
         kind = spec["kind"]
         if kind in ("ry", "rz"):
             axis = Axis.Y if kind == "ry" else Axis.Z
-            gates.append(UniformRotation(axis, *_qubits_of(spec), angles_of(spec["angles"])))
+            gates.append(UniformRotation(axis, *_qubits_of(spec), _numbers(spec["angles"])))
         elif kind == "pi":
             flags = spec["flags"]
             if type(flags) is not str or flags.strip("YN"):

@@ -1,6 +1,5 @@
-"""The number kernel that every numpy reader shares, against float(), Decimal and json.loads."""
+"""The number kernel that every numpy reader shares, against float() and Decimal."""
 
-import json
 import re
 from decimal import Decimal
 
@@ -58,7 +57,6 @@ def test_reader_proves_grammar_tokens_bit_for_bit():
             for tok, value, in_shape, is_proven in zip(tokens, values.tolist(), shape, proven):
                 assert in_shape == bool(GRAMMAR.fullmatch(tok)), tok
                 if in_shape:
-                    json.loads(tok)  # _angle_lists keeps a document in numpy on the shape alone
                     Decimal(tok)
                 if is_proven:
                     d, k = digits_and_places(tok)

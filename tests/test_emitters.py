@@ -1,6 +1,6 @@
-import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
-from csdcirc import _bytescan, emitters
+from csdcirc import _bytescan, emitters, matrices
 from csdcirc.decompose import compile_complex, compile_real, recursive_csd
 from csdcirc.emitters import emit_json, emit_latex, emit_text, parse_json, parse_text
 from csdcirc.errors import BadPayloadLengthError, CsdcircError, TextSyntaxError
@@ -24,7 +24,7 @@ from csdcirc.gates import (
     UniformRotation,
     count_subgates,
 )
-from csdcirc.matrices import certify_unitary, pad_to_power_of_two
+from csdcirc.matrices import certify_unitary, pad_to_power_of_two, parse_matrix_text
 from csdcirc.qwalk import parse_graph, random_graph, walk_unitary
 from paper_data import (
     REAL_8x8_RECORDS,
@@ -842,13 +842,9 @@ def test_emit_json_matches_json_dumps_on_drawn_circuits():
 
 
 def reference_read(read, text):
-    """read(text) through the per-value code alone: json.loads and Decimal.
-
-    No text then holds _VECTOR_MIN angle tokens, and no document is as long
-    as _CHUNK // 4 rows.
-    """
+    """read(text) through the per-value code alone: no text then holds _VECTOR_MIN angle tokens."""
     with pytest.MonkeyPatch.context() as patch:
-        set_pass_sizes(patch, _VECTOR_MIN=1 << 62, _CHUNK=1 << 62)
+        set_pass_sizes(patch, _VECTOR_MIN=1 << 62)
         return outcome(read, text)
 
 
@@ -877,80 +873,21 @@ def outcome(read, text):
     return circuit.n_qubits, gates
 
 
-def test_numpy_json_reader_matches_float(json_values):
-    # repr writes one digit before the point below 10, and e-notation from 1e16
+def test_matrix_text_reader_reads_repr_tokens_as_float(json_values, monkeypatch):
+    # repr writes one digit before the point below 10, and e-notation from 1e16: the kernel's grammar
     mag = np.abs(json_values)
     values = json_values[(mag < 10) | (mag >= 1e16)]
     assert values.size > 10**6
-    _, lists = emitters._angle_lists(emit_json(rotations(values)))
-    got = np.concatenate(lists)
-    assert np.array_equal(got.view(np.int64), values.view(np.int64))
+    d = math.isqrt(values.size - 1) + 1
+    entries = np.resize(values, d * d)  # the first values again, to fill the last row
+    text = f"{d}\n" + "\n".join(" ".join(map(repr, row)) for row in entries.reshape(d, d).tolist()) + "\n"
 
+    def refuse(_):
+        raise AssertionError("the matrix went to the per-value reader")
 
-@functools.cache
-def reader_circuit() -> Circuit:
-    """A compiled 7-qubit complex circuit: 16,383 angles, a JSON document long enough for the numpy reader."""
-    return compile_complex(recursive_csd(certify_unitary(unitary_group.rvs(128, random_state=2))))
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda doc: doc.replace('"angles": [', '"angles": [12.5, ', 1),
-        lambda doc: doc.replace('"angles": [', '"angles": [NaN, ', 1),
-        lambda doc: doc.replace('"angles": [', '"angles": [2, ', 1),
-        lambda doc: doc.replace(",\n        ", " ,", 1),
-        lambda doc: doc.replace('"angles": [', '"angles": [0.5], "angles": [', 1),
-        lambda doc: doc.replace('"kind": "rz"', '"kind": "rz", "note": "\u00e9"', 1),
-        lambda doc: doc.replace('"phase": ', '"phase": -Infinity, "x": ', 1),
-        lambda doc: json.dumps(json.loads(doc)["gates"][0]),
-        lambda doc: doc.replace('"angles": [', '"angles": [0.5, [', 1),
-        lambda doc: doc.replace('"angles": [', '"angles": [[0.5], ', 1),
-        lambda doc: doc.replace(",\n", ",,\n", 1),
-        lambda doc: doc.replace("\n      ]", ",\n      ]", 1),
-    ],
-    ids=["two-digit-integer", "nan", "integer", "space-before-comma", "duplicate-angles",
-         "non-ascii", "infinity", "few-angles", "unclosed-inner-list", "inner-list", "double-comma",
-         "trailing-comma"],
-)
-def test_json_the_numpy_reader_leaves_to_json_loads(edit):
-    doc = emit_json(reader_circuit())
-    edited = edit(doc)
-    assert not read_whole_by_json_loads(doc)
-    assert read_whole_by_json_loads(edited)
-    assert outcome(parse_json, edited) == reference_read(parse_json, edited)
-
-
-@pytest.mark.parametrize(
-    "edit", [lambda doc: doc.replace('"angles": [', '"angles": [1E-05, ', 1)], ids=["capital-e"]
-)
-def test_json_the_numpy_reader_keeps(edit):
-    doc = edit(emit_json(reader_circuit()))
-    assert not read_whole_by_json_loads(doc)
-    assert outcome(parse_json, doc) == reference_read(parse_json, doc)
-
-
-@pytest.mark.parametrize(
-    "token",
-    ["0.123456789012345678", "0.123456789012345678901234", "9.87654321098765432109876", "-5.0e-300", "1.5e+200",
-     "2e-305", "0.5", "-0.0"],
-)
-def test_json_tokens_the_numpy_pass_leaves_to_float(token):
-    # past 17 digits or 10**-290, or above 1: float() reads them, the document stays in numpy
-    doc = emit_json(reader_circuit()).replace('"angles": [\n        ', f'"angles": [\n        {token},\n        ', 1)
-    doc = doc.replace('"controls": [],\n      "angles"', '"controls": [\n        2\n      ],\n      "angles"', 1)
-    assert not read_whole_by_json_loads(doc)
-    assert outcome(parse_json, doc) == reference_read(parse_json, doc)
-
-
-def read_whole_by_json_loads(doc: str) -> bool:
-    """Whether parse_json hands the whole document to json.loads."""
-    calls = []
-    loads = json.loads
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(json, "loads", lambda text, **kw: calls.append(text) or loads(text, **kw))
-        outcome(parse_json, doc)
-    return doc in calls
+    monkeypatch.setattr(matrices, "_parse_matrix_per_value", refuse)
+    got = parse_matrix_text(text)
+    assert np.array_equal(got.ravel().view(np.int64), entries.view(np.int64))
 
 
 BIG_RECORD = "GATEY\n  1;" + "".join(f"{c:3d}," for c in range(2, 18)) + " 18\n" + "  0.1" * (1 << 17)
@@ -1010,7 +947,8 @@ def test_first_bad_record_is_reported(text, error, line):
          "blank-lines", "next-line", "long-first-word", "keyword-in-payload", "group-separator", "bell"],
 )
 def test_text_line_and_token_edges_read_as_the_per_value_code_reads_them(edit):
-    text = edit(emit_text(reader_circuit(), "exact"))
+    circuit = compile_complex(recursive_csd(certify_unitary(unitary_group.rvs(128, random_state=2))))
+    text = edit(emit_text(circuit, "exact"))
     assert outcome(parse_text, text) == reference_read(parse_text, text)
 
 
@@ -1051,17 +989,17 @@ def test_a_payload_word_that_starts_with_a_keyword_is_a_token():
     assert err.value.line == 2
 
 
-# --- mutated documents: the numpy readers against the per-value code ------------
+# --- mutated documents: the numpy reader against the per-value code ------------
 
-# bytes and words a mutation writes: number characters, JSON and text syntax,
-# the separators str.split(), str.splitlines() and JSON treat differently,
-# constants json.loads takes, and a second "angles" key
+# bytes and words a mutation writes: number characters, text syntax, the
+# separators str.split() and str.splitlines() treat differently, and JSON's
+# syntax and constants, which the text reader refuses as it does any word
 MUTATION_PIECES = list("0123456789eE+-.,;[]{}\"") + ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\t", " ", "\n"]
 MUTATION_PIECES += ["NaN", "Infinity", "-Infinity", '"angles": [0.5], ', '"angles": ', "GATEY", "0E+50"]
 
 
 def small_passes_read(read, text):
-    """read(text) with passes of 64 values from 16 on, so that small documents take the numpy readers.
+    """read(text) with passes of 64 values from 16 on, so that small documents take the numpy reader.
 
     The byte passes take 64 bytes at a time, so tokens and line breaks cross their edges.
     """
@@ -1070,55 +1008,32 @@ def small_passes_read(read, text):
         return outcome(read, text)
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_tokens_line_breaks_and_control_bytes_across_segment_edges(fmt):
+def test_tokens_line_breaks_and_control_bytes_across_segment_edges():
     circuit = compile_real(recursive_csd(certify_unitary(ortho_group.rvs(16, random_state=3))))
-    if fmt == "text":
-        read = parse_text
-        # "\r\n" and form-feed line breaks, and a unit separator before each token that starts with 0
-        doc = emit_text(circuit, "exact").replace("\n", "\r\n").replace("\r\n  -", "\x0c  -").replace("  0", " \x1f0")
-        assert doc.count("\r\n") > 20 and doc.count("\x0c") > 5 and doc.count("\x1f") > 20
-    else:
-        read = parse_json
-        doc = emit_json(circuit).replace("\n", "\r\n")
-    want = reference_read(read, doc)
-    assert want == outcome(read, emit_json(circuit) if fmt == "json" else emit_text(circuit, "exact"))
+    # "\r\n" and form-feed line breaks, and a unit separator before each token that starts with 0
+    doc = emit_text(circuit, "exact").replace("\n", "\r\n").replace("\r\n  -", "\x0c  -").replace("  0", " \x1f0")
+    assert doc.count("\r\n") > 20 and doc.count("\x0c") > 5 and doc.count("\x1f") > 20
+    want = reference_read(parse_text, doc)
+    assert want == outcome(parse_text, emit_text(circuit, "exact"))
     assert want[0] == 4
     # one of the 64 shifts puts any given byte of the document at a given place in its segment
     with pytest.MonkeyPatch.context() as patch:
         set_pass_sizes(patch, _VECTOR_MIN=16, _CHUNK=64, _SEGMENT=64)
         for shift in range(64):
             shifted = " " * shift + doc
-            assert outcome(read, shifted) == want
-            # read by the numpy reader, which a JSON document could leave to json.loads
-            assert emitters._text_table(shifted).buf is not None if fmt == "text" else not read_whole_by_json_loads(shifted)
+            assert outcome(parse_text, shifted) == want
+            assert emitters._text_table(shifted).buf is not None
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_mutated_documents_read_as_the_per_value_code_reads_them(fmt):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    write, read = (lambda c: emit_text(c, "exact"), parse_text) if fmt == "text" else (emit_json, parse_json)
+def mutation_circuits() -> list[Circuit]:
+    """A compiled real circuit and a compiled complex one, small enough for many mutated documents."""
     real = compile_real(recursive_csd(certify_unitary(ortho_group.rvs(32, random_state=1))))
     complex_ = compile_complex(recursive_csd(certify_unitary(unitary_group.rvs(16, random_state=2))))
-    docs = [write(real), write(complex_)]
-    # the unmutated documents take the numpy readers
-    with pytest.MonkeyPatch.context() as patch:
-        proven = []
-        read_decimals = _bytescan._read_decimals
+    return [real, complex_]
 
-        def counted(*args):
-            read = read_decimals(*args)
-            proven.append(read[2].sum())
-            return read
 
-        patch.setattr(_bytescan, "_read_decimals", counted)
-        patch.setattr(emitters, "_CHUNK", 64)
-        small_passes_read(parse_text, emit_text(real, "exact"))
-        assert sum(proven) == 497  # the 496 angles and the phase
-        assert not any(read_whole_by_json_loads(emit_json(c)) for c in (real, complex_))
-        patch.setattr(emitters, "_CHUNK", 1 << 62)  # as reference_read sets it
-        assert all(read_whole_by_json_loads(emit_json(c)) for c in (real, complex_))
+def mutated_documents(st, docs: list[str]):
+    """A strategy: one of docs with 1 to 4 bytes or MUTATION_PIECES substituted, deleted or inserted."""
 
     @st.composite
     def mutated(draw):
@@ -1133,9 +1048,44 @@ def test_mutated_documents_read_as_the_per_value_code_reads_them(fmt):
                 doc = doc[:at] + piece + doc[at + (op == "substitute") :]
         return doc
 
+    return mutated()
+
+
+def test_mutated_documents_read_as_the_per_value_code_reads_them():
+    hypothesis = pytest.importorskip("hypothesis")
+    docs = [emit_text(c, "exact") for c in mutation_circuits()]
+    # the unmutated documents take the numpy reader
+    with pytest.MonkeyPatch.context() as patch:
+        proven = []
+        read_decimals = _bytescan._read_decimals
+
+        def counted(*args):
+            read = read_decimals(*args)
+            proven.append(read[2].sum())
+            return read
+
+        patch.setattr(_bytescan, "_read_decimals", counted)
+        small_passes_read(parse_text, docs[0])
+        assert sum(proven) == 497  # the 496 angles and the phase
+
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(mutated())
+    @hypothesis.given(mutated_documents(hypothesis.strategies, docs))
     def check(doc):
-        assert small_passes_read(read, doc) == reference_read(read, doc)
+        assert small_passes_read(parse_text, doc) == reference_read(parse_text, doc)
+
+    check()
+
+
+def test_mutated_json_documents_read_as_a_circuit_or_a_csdcirc_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    docs = [emit_json(c) for c in mutation_circuits()]
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutated_documents(hypothesis.strategies, docs))
+    def check(doc):
+        try:
+            parse_json(doc)
+        except CsdcircError:
+            pass
 
     check()
