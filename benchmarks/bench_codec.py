@@ -136,7 +136,7 @@ def bench_kernel(tokens=8192, repeats=5, seed=0):
     rows = []
     for family, words, table in families:
         buf = _padded_bytes("  ".join(words))
-        starts, ends, _ = _token_edges(buf, b" ")
+        starts, ends, _ = _token_edges(buf)
         starts, ends = starts.astype(np.intp), ends.astype(np.intp)
         best, (_, _, proven) = _best(lambda: _read_decimals(buf, starts, ends, table), repeats)
         rows.append((family, tokens, best, float(proven.mean())))

@@ -17,11 +17,11 @@ import numpy as np
 # a value, so that the codec's peak memory stays that of the per-value
 # code on pipeline-sized circuits; larger chunks measured no faster.
 _CHUNK = 1 << 13
-# A circuit with fewer angles, or a text with fewer angle tokens, is
-# converted one value at a time.  Measured on 2-core Xeon: the numpy pass
-# costs about 0.1 ms (emit) and 0.2 ms (parse) plus 0.2-0.4 us per value,
-# against 1.5-2.5 us per value for Decimal; emit plus parse of the
-# small-stream circuits (2 to 4096 angles) is fastest from 64 to 256.
+# A circuit with fewer angles, or a text shorter than this many rows of
+# _ROW bytes, is converted one value at a time.  Measured on 2-core Xeon:
+# the numpy pass costs about 0.1 ms (emit) and 0.2 ms (parse) plus 0.2-0.4
+# us per value, against 1.5-2.5 us per value for Decimal; emit plus parse
+# of the small-stream circuits (2 to 4096 angles) is fastest from 64 to 256.
 _VECTOR_MIN = 128
 # Parse range: at most this many decimal places, so that _PI * 10**-k and
 # its low word stay normal doubles.
@@ -123,34 +123,30 @@ def _padded_bytes(text: str) -> np.ndarray:
     return buf
 
 
-def _token_edges(buf: np.ndarray, separators: bytes, control_space: np.ndarray | None = None):
+def _token_edges(buf: np.ndarray):
     """Start and end of each token in a _padded_bytes buffer, and the offsets of its control bytes.
 
-    A token is a run of bytes that are neither in separators nor, where
-    control_space is given, control bytes (below 32) for which it holds.
-    Without control_space no control byte is looked for.
+    A token is a run of bytes that are neither spaces nor control bytes
+    (below 32) that _TEXT_SPACE marks: the words str.split() finds.
     """
     edges, controls = [], []
     before = True  # buf[0] is a space
     span = _span_type(buf)
     for start in range(0, buf.size, _SEGMENT):
         part = buf[start : start + _SEGMENT]
-        space = part == separators[0]
-        for byte in separators[1:]:
-            space |= part == byte
-        if control_space is not None:
-            # the words that hold a byte below 32, then those bytes
-            words = part.view(np.uint64)
-            flags = (words - np.uint64(0x2020202020202020)) & ~words & np.uint64(0x8080808080808080)
-            flagged = np.flatnonzero(flags != 0)
-            low = (flagged[:, None] * 8 + np.arange(8)).ravel()
-            low = low[part[low] < 32]
-            space[low] = control_space[part[low]]
-            controls.append(low + start)
+        space = part == ord(" ")
+        # the words that hold a byte below 32, then those bytes
+        words = part.view(np.uint64)
+        flags = (words - np.uint64(0x2020202020202020)) & ~words & np.uint64(0x8080808080808080)
+        flagged = np.flatnonzero(flags != 0)
+        low = (flagged[:, None] * 8 + np.arange(8)).ravel()
+        low = low[part[low] < 32]
+        space[low] = _TEXT_SPACE[part[low]]
+        controls.append(low + start)
         edges.append((np.flatnonzero(np.diff(space, prepend=before)) + start).astype(span))
         before = space[-1]
     edges = np.concatenate(edges)
-    return edges[0::2], edges[1::2], np.concatenate(controls or [np.empty(0, np.int64)])
+    return edges[0::2], edges[1::2], np.concatenate(controls)
 
 
 def _offsets(buf: np.ndarray, byte: int, start: int, stop: int) -> np.ndarray:
@@ -271,34 +267,32 @@ def _read_decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, table)
     return _signed(value, negative), shape, taken & (fits | (dh == 0)) & exact
 
 
-def _read_numbers(text: str, buf, count: int, spans, table, reference, out: np.ndarray, errors=()):
-    """Write count numbers of text, whose _padded_bytes is buf, to out, in passes of at most _CHUNK.
+def _read_numbers(text: str, buf, spans, table, reference, out: np.ndarray, errors=()) -> list[int]:
+    """Fill out with the numbers of text, whose _padded_bytes is buf, in passes of at most _CHUNK.
 
     spans(at, stop) gives the starts and ends in buf of the tokens of
-    out[at:stop], and where _read_decimals is to read them (None: all); it
-    writes the others itself.  _read_decimals reads them with the scale
-    table, and reference each token it does not prove from its text.
-    Returns (in_shape, failed): whether every token read is in
-    _read_decimals's grammar, and the indices in out of those for which
-    reference raised one of errors; another error propagates.
+    out[at:stop], and where _read_decimals is to read them; it writes the
+    others itself.  _read_decimals reads them with the scale table, and
+    reference each token it does not prove from its text.  Returns the
+    indices in out of the tokens for which reference raised one of errors;
+    another error propagates.
     """
-    in_shape, failed = True, []
-    for at in range(0, count, _CHUNK):
-        starts, ends, where = spans(at, min(at + _CHUNK, count))
-        read = np.arange(starts.size) if where is None else np.flatnonzero(where)
+    failed = []
+    for at in range(0, out.size, _CHUNK):
+        starts, ends, where = spans(at, min(at + _CHUNK, out.size))
+        read = np.flatnonzero(where)
         if not read.size:  # a pass of lone digits, as in a sparse matrix
             continue
         s, e = starts[read].astype(np.intp), ends[read].astype(np.intp)
         read += at
-        out[read], shape, proven = _read_decimals(buf, s, e, table)
-        in_shape = in_shape and bool(shape.all())
+        out[read], _, proven = _read_decimals(buf, s, e, table)
         rest = np.flatnonzero(~proven)
         for i, first, last in zip(read[rest].tolist(), (s[rest] - _MARGIN).tolist(), (e[rest] - _MARGIN).tolist()):
             try:
                 out[i] = reference(text[first:last])
             except errors:
                 failed.append(i)
-    return in_shape, failed
+    return failed
 
 
 class _Lines:
@@ -336,7 +330,7 @@ class _TextBytes:
 
     def __init__(self, text: str):
         buf = _padded_bytes(text)
-        token_starts, token_ends, controls = _token_edges(buf, b" ", _TEXT_SPACE)
+        token_starts, token_ends, controls = _token_edges(buf)
         codes = buf[controls]
         breaks = controls[_LINE_BREAK[codes] & ~((codes == ord("\n")) & (buf[controls - 1] == ord("\r")))]
         crlf = (buf[breaks] == ord("\r")) & (buf[breaks + 1] == ord("\n"))  # one break of two bytes

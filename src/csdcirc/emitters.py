@@ -23,11 +23,10 @@ grammar of every reader with the scale table ``_PI_POW10``.  The per-value
 ``Decimal`` code, ``_to_turns_exact`` and ``_from_turns``, stays the
 reference, and converts what the passes leave: an angle whose rounding lies
 within the pass's error bound of a tie, or above pi or below
-``_EMIT_MIN``; a token the kernel does not prove; every token of a text
-holding a non-ASCII character or shorter than ``_VECTOR_MIN`` rows of
-``_ROW`` bytes; and the angle tokens of a batch of records with fewer than
-``_VECTOR_MIN`` of them.  So the bytes and angles are always the
-``Decimal`` code's.  Exact zero is written ``0E+50``, which is what
+``_EMIT_MIN``; a token the kernel does not prove; and every token of a
+text holding a non-ASCII character or shorter than ``_VECTOR_MIN`` rows of
+``_ROW`` bytes.  So the bytes and angles are always the ``Decimal``
+code's.  Exact zero is written ``0E+50``, which is what
 ``Decimal`` makes of ``0 / _PI``, and the reader writes +0.0 for that
 token itself, as ``_from_turns`` reads it, before the kernel runs.
 
@@ -266,11 +265,6 @@ def _exact_lines(payloads: list[np.ndarray]) -> list[str]:
     return _chunked(payloads, _token_rows, _ROW - 1, lambda p: "  " + "  ".join(map(_to_turns_exact, p)))
 
 
-def _ranges(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """firsts[k], firsts[k] + 1, ..., firsts[k] + sizes[k] - 1 for each k in order."""
-    return np.arange(sizes.sum()) + np.repeat(firsts - (np.cumsum(sizes) - sizes), sizes)
-
-
 # --- text records ----------------------------------------------------------------
 
 _KEYWORDS = {"GATEY", "GATEZ", "GATEPI", "GATEPHASE"}
@@ -340,34 +334,33 @@ class _Record(NamedTuple):
 def parse_text(text: str, n_qubits: int | None = None) -> Circuit:
     """Parse the text format back into a circuit.
 
-    The qubit count is inferred from the largest index seen, a GATEPHASE
-    record counting as qubit 1, unless given.  Records are checked in
-    order and their angle tokens converted in numpy passes of at most _CHUNK
-    tokens; an error is raised at the first record that has one, as if each
-    record were built before the next is read, except a NaN or infinite
-    angle: that is reported once every record has been read.
+    The qubit count n is inferred from the largest index seen, a GATEPHASE
+    record counting as qubit 1, unless given.  Every record is read before
+    any angle token is converted.  An error is raised at the first record
+    that has one, as if each record were built before the next is read,
+    except a NaN or infinite angle, then a qubit outside 1..n: each is
+    reported at its first record once every record has been read.
     """
+    if n_qubits is not None:
+        n_qubits = Circuit(n_qubits, ()).n_qubits  # a count Circuit refuses raises before the text is read
     table = _text_table(text)
-    gates: list = []
-    gate_lines: list[int] = []
-    pending: list[_Record] = []
-    queued = 0
-    max_qubit = 0
+    records: list[_Record] = []
     try:
         for record in _records(table):
-            if queued + record.count > _CHUNK:
-                batch, pending, queued = pending, [], 0
-                _build_gates(table, batch, gates, gate_lines)
-            pending.append(record)
-            queued += record.count
-            max_qubit = max(max_qubit, record.target, *record.controls)
-    finally:
-        _build_gates(table, pending, gates, gate_lines)  # an earlier record's error comes first
-    inferred = n_qubits if n_qubits is not None else max_qubit
+            records.append(record)
+    finally:  # an earlier record's error comes first
+        gates = list(_build_gates(table, records))
+    if n_qubits is None:
+        n_qubits = max((q for r in records for q in (r.target, *r.controls)), default=0)
     try:
-        return Circuit(inferred, tuple(gates))
+        return Circuit(n_qubits, tuple(gates))
     except NonFiniteAngleError as exc:
-        raise TextSyntaxError("angle is NaN or infinite", gate_lines[exc.index]) from exc
+        raise TextSyntaxError("angle is NaN or infinite", records[exc.index].line) from exc
+    except BadQubitIndexError as exc:  # the count is valid, so a target or control lies outside 1..n
+        for r in records:
+            if r.keyword != "GATEPHASE" and not all(1 <= q <= n_qubits for q in (r.target, *r.controls)):
+                raise TextSyntaxError(str(exc), r.line) from exc
+        raise
 
 
 def _records(table: _Lines | _TextBytes):
@@ -397,9 +390,7 @@ def _records(table: _Lines | _TextBytes):
         got = 0
         last_no = j + 1
         first = i = skip_blank(j + 1)
-        while got < expected:
-            if i >= size or table.head(i) in _KEYWORDS:
-                raise BadPayloadLengthError(f"payload has {got} values, expected {expected}", last_no)
+        while got < expected and i < size and table.head(i) not in _KEYWORDS:
             got += counts[i]
             last_no = i + 1
             i = skip_blank(i + 1)
@@ -420,37 +411,35 @@ def _parse_header(line: str, lineno: int) -> tuple[int, tuple[int, ...]]:
     return target, controls
 
 
-def _parse_turns(table: _Lines | _TextBytes, records: list[_Record]) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of the records' exact- or display-mode tokens, and which tokens are not numbers.
+def _parse_turns(table: _Lines | _TextBytes, records: list[_Record]) -> tuple[np.ndarray, list[int]]:
+    """Angles of the records' exact- or display-mode tokens, and the indices of those that are not numbers.
 
-    When the table holds the text's bytes and the records hold at least
-    _VECTOR_MIN tokens, _read_numbers reads them; else _from_turns reads
-    each.
+    When the table holds the text's bytes, _read_numbers reads them, each
+    pass gathering its own tokens' spans; else _from_turns reads each.
     """
-    if table.buf is not None and sum(r.count for r in records) >= _VECTOR_MIN:
+    if table.buf is not None and records:
         counts = np.array([r.count for r in records])
-        index = _ranges(np.array([table.first_tokens[r.first] for r in records]), counts)
-        starts, ends = table.token_starts[index], table.token_ends[index]
-        values = np.empty(index.size)
-        text, buf = table.text, table.buf
+        ends = np.cumsum(counts)  # of each record's angles in values
+        shift = np.array([table.first_tokens[r.first] for r in records]) - (ends - counts)  # token less angle index
+        values = np.empty(ends[-1])
 
         def spans(at: int, stop: int):
-            s, e = starts[at:stop], ends[at:stop]
-            return s, e, _nonzero_tokens(buf, s, e, values[at:stop])
+            index = np.arange(at, stop)
+            index += shift[np.searchsorted(ends, index, "right")]
+            s, e = table.token_starts[index], table.token_ends[index]
+            return s, e, _nonzero_tokens(table.buf, s, e, values[at:stop])
 
-        _, failed = _read_numbers(text, buf, index.size, spans, _PI_POW10, _from_turns, values, ArithmeticError)
-        bad = np.zeros(index.size, bool)
-        bad[failed] = True
-        return values, bad
+        failed = _read_numbers(table.text, table.buf, spans, _PI_POW10, _from_turns, values, ArithmeticError)
+        return values, failed
     tokens = [tok for r in records for tok in table.tokens(r.first, r.line)]
     values = np.empty(len(tokens))
-    bad = np.zeros(len(tokens), bool)
+    failed = []
     for i, token in enumerate(tokens):
         try:
             values[i] = _from_turns(token)
         except ArithmeticError:
-            bad[i] = True
-    return values, bad
+            failed.append(i)
+    return values, failed
 
 
 def _nonzero_tokens(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -468,22 +457,19 @@ def _nonzero_tokens(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: 
     return read
 
 
-def _build_gates(table: _Lines | _TextBytes, records: list[_Record], gates: list, gate_lines: list[int]):
-    """Build the records' gates in order, after one conversion of all their angle tokens."""
-    values, bad = _parse_turns(table, [r for r in records if r.keyword != "GATEPI"])
-    first_bad = np.argmax(bad) if bad.any() else bad.size
+def _build_gates(table: _Lines | _TextBytes, records: list[_Record]):
+    """The records' gates in order, after one conversion of all their angle tokens."""
+    values, failed = _parse_turns(table, [r for r in records if r.keyword != "GATEPI"])
+    first_bad = min(failed, default=values.size)
     start = 0
     for r in records:
         if r.keyword == "GATEPI":
-            gates.append(_build_gate(r, table.tokens(r.first, r.line)))
-            gate_lines.append(r.line)
-            continue
-        stop = start + r.count
-        if stop > first_bad:
+            payload = table.tokens(r.first, r.line)
+        elif start + r.count > first_bad:
             raise TextSyntaxError(f"bad numeric payload {table.tokens(r.first, r.line)}", r.line)
-        gates.append(_build_gate(r, values[start:stop]))
-        gate_lines.append(r.line)
-        start = stop
+        else:
+            payload, start = values[start : start + r.count], start + r.count
+        yield _build_gate(r, payload)
 
 
 def _build_gate(r: _Record, payload):
@@ -665,7 +651,7 @@ def parse_json(text: str) -> Circuit:
         return _json_circuit(json.loads(text))
     except NonFiniteAngleError as exc:  # worded like the other malformed values
         raise JsonFormatError(f"malformed circuit JSON: {ValueError(str(exc))!r}") from exc
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError, BadQubitIndexError, LengthMismatchError) as exc:
         raise JsonFormatError(f"malformed circuit JSON: {exc!r}") from exc
 
 

@@ -198,7 +198,7 @@ def _matrix_values(table: _TextBytes) -> np.ndarray | None:
         return s, e, _lone_digits(buf, s, e, values[at:stop])
 
     try:
-        _read_numbers(text, buf, values.size, spans, _INV_POW10, float, values)
+        _read_numbers(text, buf, spans, _INV_POW10, float, values)
     except ValueError:  # a comma at an entry's end, or a token float() refuses
         return None
     return (values.view(np.complex128) if is_complex else values).reshape(d, d)

@@ -14,7 +14,7 @@ GRAMMAR = re.compile(r"-?\d(\.\d{1,30})?([eE][+-]\d{1,3})?")
 def read(tokens: list[str], table, separator: str = "  "):
     """_read_decimals on tokens, separator apart, so that each window also holds the tokens before it."""
     buf = _bytescan._padded_bytes(separator.join(tokens))
-    starts, ends, _ = _bytescan._token_edges(buf, b" \t")
+    starts, ends, _ = _bytescan._token_edges(buf)
     assert starts.size == len(tokens)
     return _bytescan._read_decimals(buf, starts.astype(np.intp), ends.astype(np.intp), table)
 

@@ -8,7 +8,7 @@ from csdcirc import matrices
 from csdcirc._bytescan import _text_table
 from csdcirc.cli import main
 from csdcirc.emitters import parse_json, parse_text
-from csdcirc.errors import CsdcircError, JsonFormatError, TextSyntaxError
+from csdcirc.errors import BadQubitIndexError, CsdcircError, JsonFormatError, TextSyntaxError
 from csdcirc.matrices import format_matrix_text, parse_matrix_json, parse_matrix_text
 from paper_data import SQUARE_GRAPH_TEXT, SQUARE_WALK
 
@@ -255,6 +255,10 @@ BAD_CIRCUITS = {
     "phase-string": lambda c: c["gates"][2].update(phase="1.5"),
     "phase-bool": lambda c: c["gates"][2].update(phase=True),
     "phase-huge-int": lambda c: c["gates"][2].update(phase=10**400),
+    "controls-duplicate": lambda c: c["gates"][1].update(controls=[1, 1]),
+    "target-out-of-range": lambda c: c["gates"][0].update(target=3),
+    "n-qubits-negative": lambda c: c.update(n_qubits=-1),
+    "angles-short": lambda c: c["gates"][0].update(angles=[0.1]),
 }
 BAD_MATRICES = {
     "entries-int": {"dim": 1, "real": False, "entries": 5},
@@ -310,6 +314,32 @@ def test_gatephase_target_other_than_one_is_a_parse_error(tmp_path, target):
         parse_text(text)
     assert err.value.line == 5
     assert main(["stats", write(tmp_path, "c.txt", text)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,n_qubits,line,message",
+    [
+        ("GATEY\n  0;\n  0.5\n", None, 3, "qubit 0 out of range for 0 qubits"),
+        ("GATEY\n  1;\n  0.25\nGATEZ\n  1;  -1\n  0.5  0.25\n", None, 6, "qubit -1 out of range for 1 qubits"),
+        ("GATEY\n  1;\n  0.25\nGATEPI\n  2;\n  Y\n", 1, 6, "qubit 2 out of range for 1 qubits"),
+    ],
+    ids=["target-0", "control-minus-1", "target-above-the-given-count"],
+)
+def test_text_qubit_outside_the_count_is_a_parse_error_at_its_record(tmp_path, text, n_qubits, line, message):
+    with pytest.raises(TextSyntaxError) as err:
+        parse_text(text, n_qubits)
+    assert type(err.value) is TextSyntaxError and err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+    circuit = write(tmp_path, "c.txt", text)
+    if n_qubits is None:
+        assert main(["stats", circuit]) == 2
+    else:  # verify reads the text with the matrix's qubit count
+        assert main(["verify", circuit, write(tmp_path, "id.mat", format_matrix_text(np.eye(1 << n_qubits)))]) == 2
+
+
+def test_a_negative_text_qubit_count_is_refused_as_a_circuit_refuses_it():
+    with pytest.raises(BadQubitIndexError, match="^qubit count -1 is negative$"):
+        parse_text("GATEY\n  1;\n  0.5\n", -1)
 
 
 @pytest.mark.parametrize("obj", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())

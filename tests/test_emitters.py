@@ -15,7 +15,7 @@ from scipy.stats import ortho_group, unitary_group
 from csdcirc import _bytescan, emitters, matrices
 from csdcirc.decompose import compile_complex, compile_real, recursive_csd
 from csdcirc.emitters import emit_json, emit_latex, emit_text, parse_json, parse_text
-from csdcirc.errors import BadPayloadLengthError, CsdcircError, TextSyntaxError
+from csdcirc.errors import BadPayloadLengthError, CsdcircError, JsonFormatError, TextSyntaxError
 from csdcirc.gates import (
     Axis,
     Circuit,
@@ -561,7 +561,10 @@ def read_tokens(tokens: list[str]):
     """The text reader's angles and bad flags for tokens on one payload line."""
     text = payload_line(tokens)
     record = emitters._Record("GATEY", 1, (), 0, 1, len(tokens))
-    return emitters._parse_turns(emitters._text_table(text), [record])
+    values, failed = emitters._parse_turns(emitters._text_table(text), [record])
+    bad = np.zeros(values.size, bool)
+    bad[failed] = True
+    return values, bad
 
 
 def fast_turns(tokens: list[str]) -> np.ndarray:
@@ -980,6 +983,42 @@ def test_text_table_splits_as_str_splitlines_and_split(text, padded):
     assert table.tokens(0, len(lines)) == text.split()
 
 
+def flag_heavy_circuit(angle_gates: int) -> Circuit:
+    """16 GATEPI records of 128 flags, a text long enough for the byte table, and angle_gates records of 8 angles."""
+    rng = np.random.default_rng(13)
+    gates = [PiGate(1, tuple(range(2, 9)), rng.random(128) < 0.5) for _ in range(16)]
+    for k in range(angle_gates):
+        angles = rng.uniform(-np.pi, np.pi, 8)
+        gates.insert(4 * k + 1, UniformRotation(Axis.Y if k % 2 else Axis.Z, 1, (2, 3, 4), angles))
+    return Circuit(8, tuple(gates))
+
+
+@pytest.mark.parametrize("bad_flag", [False, True], ids=["as-written", "bad-last-flag"])
+@pytest.mark.parametrize("angle_gates", [4, 0], ids=["few-angle-tokens", "flags-only"])
+def test_texts_with_few_or_no_angle_tokens_read_as_the_per_value_code_reads_them(angle_gates, bad_flag, monkeypatch):
+    # the byte table's texts whose records hold fewer than _VECTOR_MIN angle tokens, or none
+    circuit = flag_heavy_circuit(angle_gates)
+    text = emit_text(circuit, "exact")
+    assert len(text) >= emitters._VECTOR_MIN * emitters._ROW and 8 * angle_gates < emitters._VECTOR_MIN
+    if bad_flag:
+        text = text[: text.rindex("Y")] + "Q" + text[text.rindex("Y") + 1 :]
+    read = []
+
+    def kernel(buf, starts, *args):
+        read.append(starts.size)
+        return read_decimals(buf, starts, *args)
+
+    read_decimals = _bytescan._read_decimals
+    monkeypatch.setattr(_bytescan, "_read_decimals", kernel)
+    want = reference_read(parse_text, text)
+    assert outcome(parse_text, text) == want
+    assert sum(read) == 8 * angle_gates  # the kernel read every angle token, and only those
+    if not bad_flag:
+        assert want == outcome(lambda _: circuit, text)
+    else:
+        assert want[0] is TextSyntaxError and want[2] == text.count("\n")
+
+
 def test_a_payload_word_that_starts_with_a_keyword_is_a_token():
     with pytest.raises(TextSyntaxError) as err:
         parse_text(LINE_EDGE_TEXTS[3])
@@ -1085,7 +1124,7 @@ def test_mutated_json_documents_read_as_a_circuit_or_a_csdcirc_error():
     def check(doc):
         try:
             parse_json(doc)
-        except CsdcircError:
+        except JsonFormatError:
             pass
 
     check()
